@@ -38,13 +38,7 @@ from .engine import (
     scan_family,
     summarize,
 )
-from .errors import (
-    BudgetExceeded,
-    EmptyFamily,
-    IdentityViolation,
-    ParseError,
-    ValidationError,
-)
+from .errors import BudgetExceeded, EmptyFamily, IdentityViolation
 from .exprs import parse_poly_expr  # noqa: F401  constraint-ingestion entry point
 from .families import linear_family, partition_ranges
 from .ffield import field_new
@@ -65,10 +59,10 @@ from .report import (
 
 
 def _scan_slice(args):
-    """Worker body: histogram plus DFS profile for one candidate slice."""
-    spec, r_max, index, candidate_range = args
-    scan = scan_family(spec, candidate_range)
-    star, coinc = hermite_profile(spec, r_max, partition=candidate_range)
+    """Worker body: histogram plus DFS profile for one index slice."""
+    spec, r_max, index, index_range = args
+    scan = scan_family(spec, index_range)
+    star, coinc = hermite_profile(spec, r_max, partition=index_range)
     return index, scan, star, coinc
 
 
@@ -124,11 +118,16 @@ def _check_identities(family_id, scan, star, coinc, r_max):
 
 
 def _oracle_stages(spec, scan, star, r_max, budget):
-    """Independent literal enumerations, skipped with a note over budget."""
+    """Independent literal enumerations, skipped with a note over budget.
+
+    Each oracle checks its cost against the budget from the scan's member
+    count before it lists any member.
+    """
     notes = []
+    members = scan.member_count
     for r in range(1, min(r_max, 2) + 1):
         try:
-            direct = count_interpolating_sets_direct(spec, r, budget)
+            direct = count_interpolating_sets_direct(spec, r, budget, members)
             if direct != scan.interpolating_count(r):
                 raise IdentityViolation(
                     f"direct subset oracle disagrees at r={r}: "
@@ -138,7 +137,7 @@ def _oracle_stages(spec, scan, star, r_max, budget):
         except BudgetExceeded as exc:
             notes.append(f"oracle S_{r}: skipped, {exc}")
         try:
-            tuples = count_distinct_tuples_oracle(spec, r, budget)
+            tuples = count_distinct_tuples_oracle(spec, r, budget, members)
             if tuples != scan.distinct_tuple_count(r):
                 raise IdentityViolation(
                     f"distinct tuple oracle disagrees at r={r}: "
@@ -148,7 +147,7 @@ def _oracle_stages(spec, scan, star, r_max, budget):
         except BudgetExceeded as exc:
             notes.append(f"oracle tuples_{r}: skipped, {exc}")
         try:
-            herm = count_hermite_tuples_oracle(spec, r, budget)
+            herm = count_hermite_tuples_oracle(spec, r, budget, members)
             if herm != star[r - 1]:
                 raise IdentityViolation(
                     f"division oracle disagrees at r={r}: {herm} != {star[r - 1]}"
@@ -346,7 +345,10 @@ def main(argv=None) -> int:
         if args.oracle_budget is not None:
             config.oracle_budget = args.oracle_budget
         validate_config(config)
-    except (ParseError, ValidationError) as exc:
+    except ValueError as exc:
+        # ParseError, ValidationError, and the field and family errors
+        # (CompositeP, ReducibleModulus, ParameterRange, ...) raised while
+        # building the family are all config problems.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -360,6 +362,9 @@ def main(argv=None) -> int:
     except EmptyFamily as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(report.to_summary())
     return 0
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb, perm
 
 from .errors import BudgetExceeded, EmptyFamily, ParameterRange
-from .families import enumerate_family, family_cardinality
+from .families import enumerate_family, family_cardinality, filter_family
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
 
@@ -50,12 +50,12 @@ def value_set_size(f):
     return count
 
 
-def _member_histogram(field, a_desc, profile, values_out):
+def _member_histogram(field, a_desc, profile):
     """Accumulate one member's root-count histogram into profile.
 
     a_desc is (a_{d-1}, ..., a_1).  hist[a_0] counts c with -f(c) = a_0;
-    appends V(f) = #nonzero entries to values_out and adds the histogram's
-    n-distribution into profile[n].
+    adds the histogram's n-distribution into profile[n] and returns
+    V(f) = #nonzero entries.
     """
     add, mul, neg = field.add, field.mul, field.neg
     q = field.q
@@ -72,23 +72,21 @@ def _member_histogram(field, a_desc, profile, values_out):
         profile[n] += 1
         if n:
             vf += 1
-    values_out.append(vf)
     return vf
 
 
 @dataclass
 class ScanResult:
-    """Additive partial result of a family scan over one candidate slice."""
+    """Additive partial result of a family scan over one index slice."""
 
     d: int
     member_count: int
     sum_values: int
     profile: list  # profile[n] = #(member, a_0) pairs with n roots, n = 0..d
-    member_values: list
 
     @classmethod
     def empty(cls, d):
-        return cls(d, 0, 0, [0] * (d + 1), [])
+        return cls(d, 0, 0, [0] * (d + 1))
 
     def merge(self, other):
         if self.d != other.d:
@@ -98,7 +96,6 @@ class ScanResult:
             self.member_count + other.member_count,
             self.sum_values + other.sum_values,
             [a + b for a, b in zip(self.profile, other.profile)],
-            self.member_values + other.member_values,
         )
 
     def interpolating_count(self, r):
@@ -120,9 +117,7 @@ def scan_family(spec, partition=None):
     field = spec.field
     for member in enumerate_family(spec, partition):
         result.member_count += 1
-        result.sum_values += _member_histogram(
-            field, member.a, result.profile, result.member_values
-        )
+        result.sum_values += _member_histogram(field, member.a, result.profile)
     return result
 
 
@@ -132,7 +127,6 @@ class ValueSetSummary:
     sum_values: int
     average: Fraction
     interpolating_counts: dict  # r -> S_r for r = 1..r_max
-    member_values: list
 
     def alternating_average(self):
         """(1/|A|) sum of (-1)^(r-1) S_r over the stored r range."""
@@ -157,7 +151,6 @@ def summarize(spec, r_max=None, scan=None):
         scan.sum_values,
         Fraction(scan.sum_values, scan.member_count),
         {r: scan.interpolating_count(r) for r in range(1, r_max + 1)},
-        scan.member_values,
     )
 
 
@@ -176,7 +169,25 @@ def count_interpolating_sets(spec, r):
     return scan_family(spec).interpolating_count(r)
 
 
-def count_interpolating_sets_direct(spec, r, budget=DEFAULT_ORACLE_BUDGET):
+def oracle_members(spec, cost_per_member, budget, label, member_count=None):
+    """Members for a brute-force oracle, listed only after its budget check.
+
+    The cost is cost_per_member * |A|, with |A| taken from member_count (the
+    scan's count) when given, so a refusal enumerates nothing.  The members
+    come from the candidate filter, independent of `enumerate_family`, so an
+    oracle that runs also cross-checks the direct enumerator.
+    """
+    if member_count is None:
+        member_count = family_cardinality(spec)
+    cost = cost_per_member * member_count
+    if cost > budget:
+        raise BudgetExceeded(f"{label} cost {cost} exceeds budget {budget}")
+    return list(filter_family(spec))
+
+
+def count_interpolating_sets_direct(
+    spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
+):
     """S_r by literal enumeration of r-subsets and (member, a_0) pairs.
 
     Test oracle only; refuses work beyond C(q, r) * |A| candidate pairs.
@@ -187,10 +198,7 @@ def count_interpolating_sets_direct(spec, r, budget=DEFAULT_ORACLE_BUDGET):
     q = field.q
     if r > q:
         return 0
-    members = list(enumerate_family(spec))
-    cost = comb(q, r) * len(members)
-    if cost > budget:
-        raise BudgetExceeded(f"direct S_r cost {cost} exceeds budget {budget}")
+    members = oracle_members(spec, comb(q, r), budget, "direct S_r", member_count)
     add, mul = field.add, field.mul
     total = 0
     for subset in combinations(field.indices(), r):

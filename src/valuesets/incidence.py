@@ -27,8 +27,8 @@ from itertools import permutations, product
 from math import perm
 
 from .bounds import coincident_count_bound, hermite_count_error_bound
-from .engine import DEFAULT_ORACLE_BUDGET, scan_family
-from .errors import BudgetExceeded, IdentityViolation, ParameterRange
+from .engine import DEFAULT_ORACLE_BUDGET, oracle_members, scan_family
+from .errors import IdentityViolation, ParameterRange
 from .families import enumerate_family
 from .unipoly import UniPoly, hermite_divides
 
@@ -166,7 +166,9 @@ def collect(spec, r_max, scan=None, partition=None):
 
 # --- budget-guarded enumeration oracles ---------------------------------------
 
-def count_distinct_tuples_oracle(spec, r, budget=DEFAULT_ORACLE_BUDGET):
+def count_distinct_tuples_oracle(
+    spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
+):
     """Literal enumeration over (member, shift, ordered distinct tuple)."""
     if r < 1:
         raise ParameterRange(f"need r >= 1, got {r}")
@@ -174,10 +176,9 @@ def count_distinct_tuples_oracle(spec, r, budget=DEFAULT_ORACLE_BUDGET):
     q = field.q
     if r > q:
         return 0
-    members = list(enumerate_family(spec))
-    cost = len(members) * q * perm(q, r)
-    if cost > budget:
-        raise BudgetExceeded(f"raw tuple enumeration cost {cost} exceeds budget {budget}")
+    members = oracle_members(
+        spec, q * perm(q, r), budget, "raw tuple enumeration", member_count
+    )
     add, mul = field.add, field.mul
     total = 0
     for member in members:
@@ -196,16 +197,15 @@ def count_distinct_tuples_oracle(spec, r, budget=DEFAULT_ORACLE_BUDGET):
     return total
 
 
-def count_hermite_tuples_oracle(spec, r, budget=DEFAULT_ORACLE_BUDGET):
+def count_hermite_tuples_oracle(
+    spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
+):
     """Division oracle: tuples whose node product divides f + a_0."""
     if r < 1:
         raise ParameterRange(f"need r >= 1, got {r}")
     field = spec.field
     q = field.q
-    members = list(enumerate_family(spec))
-    cost = len(members) * q ** (r + 1)
-    if cost > budget:
-        raise BudgetExceeded(f"division oracle cost {cost} exceeds budget {budget}")
+    members = oracle_members(spec, q ** (r + 1), budget, "division oracle", member_count)
     total = 0
     for member in members:
         base = [0] + list(reversed(member.a)) + [1]

@@ -4,10 +4,11 @@ from textwrap import dedent
 import pytest
 
 from valuesets.cli import main, run_experiment
-from valuesets.config import parse_config
-from valuesets.engine import ScanResult
+from valuesets.config import build_family, parse_config
+from valuesets.engine import ScanResult, scan_family
 from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
+from valuesets.families import partition_ranges
 from valuesets.ffield import field_new
 from valuesets.report import report_columns
 
@@ -84,15 +85,54 @@ def test_worker_counts_agree():
     assert serial.to_summary() == parallel.to_summary()
 
 
+PINNED_Q13 = dedent(
+    """\
+    [field]
+    p = 13
+
+    [family]
+    kind = linear
+    d = 5
+    m = 1
+    forms = A4 - 3
+
+    [run]
+    r_max = 2
+    oracle_budget = 0
+    diag_extensions = 1
+    """
+)
+
+
+def test_pinned_family_workers_balanced_and_identical():
+    # A4 = 3 puts every member in one third of the candidate index space;
+    # slices of the member index space stay balanced.
+    runs = []
+    for workers in (1, 2, 3):
+        cfg = parse_config(PINNED_Q13)
+        cfg.workers = workers
+        report = run_experiment(cfg)
+        runs.append((report.to_csv(), report.to_summary()))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    spec = build_family(parse_config(PINNED_Q13))
+    assert spec.space_size() == 13**3
+    for workers in (2, 3):
+        counts = [
+            scan_family(spec, rng).member_count
+            for rng in partition_ranges(spec.space_size(), workers)
+        ]
+        assert sum(counts) == 13**3
+        assert max(counts) - min(counts) <= 1
+
+
 def test_tampered_counts_abort_loudly():
     cfg = parse_config(SMALL_Q7)
 
     def bump(scan):
         profile = list(scan.profile)
         profile[1] += 1
-        return ScanResult(
-            scan.d, scan.member_count, scan.sum_values, profile, scan.member_values
-        )
+        return ScanResult(scan.d, scan.member_count, scan.sum_values, profile)
 
     with pytest.raises(IdentityViolation):
         run_experiment(cfg, tamper_hook=bump)
@@ -160,6 +200,34 @@ def test_main_rejects_invalid_config(tmp_path, capsys):
     rc = main(["run", str(cfg_path)])
     assert rc == 2
     assert "q > d required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("forms = A2", "forms = A2^2", "is not linear"),
+        ("p = 7", "p = 4", "p = 4 is not prime"),
+        ("p = 7", "p = 3\ns = 2\nmodulus = 2, 0, 1", "factors over F_3"),
+    ],
+    ids=["nonlinear-form", "composite-p", "reducible-modulus"],
+)
+def test_main_family_build_errors_exit_2(tmp_path, capsys, old, new, message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(SMALL_Q7.replace(old, new), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--summary"])
+def test_main_unwritable_output_exit_2(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL_Q7, encoding="utf-8")
+    target = tmp_path / "missing-dir" / "out.txt"
+    rc = main(["run", str(cfg_path), "--oracle-budget", "0", flag, str(target)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("I/O error: ")
 
 
 def test_main_missing_file_and_help(capsys):

@@ -156,6 +156,43 @@ def test_oracle_budgets():
         hermite_profile(spec, 0)
 
 
+def test_oracles_check_budget_before_enumerating(monkeypatch):
+    from valuesets import engine, families, incidence
+
+    spec = linear_family(F7, 3, 1, [constraint("A2", F7, 3)])
+    members = scan_family(spec).member_count
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (engine, families, incidence):
+        for name in ("enumerate_family", "filter_family", "family_cardinality"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    # the refusal texts are part of the byte-identical summary
+    cases = [
+        (count_interpolating_sets_direct, 1, "direct S_r cost 49 exceeds budget 0"),
+        (count_interpolating_sets_direct, 2, "direct S_r cost 147 exceeds budget 0"),
+        (count_distinct_tuples_oracle, 1, "raw tuple enumeration cost 343 exceeds budget 0"),
+        (count_distinct_tuples_oracle, 2, "raw tuple enumeration cost 2058 exceeds budget 0"),
+        (count_hermite_tuples_oracle, 1, "division oracle cost 343 exceeds budget 0"),
+        (count_hermite_tuples_oracle, 2, "division oracle cost 2401 exceeds budget 0"),
+    ]
+    for oracle, r, message in cases:
+        with pytest.raises(BudgetExceeded) as info:
+            oracle(spec, r, 0, members)
+        assert str(info.value) == message
+    assert calls == []
+    # within budget the oracle lists members through the candidate filter
+    assert count_hermite_tuples_oracle(spec, 1, 343, members) == members * 7
+    assert calls == ["filter_family"]
+
+
 def test_hermite_estimate_report_linear_q11():
     spec = linear_family(F11, 4, 1, [constraint("A3", F11, 4)])
     rep = hermite_estimate_report(spec, 2)
