@@ -43,7 +43,7 @@ from .families import (
 from .ffield import Field, Fq, field_enumerate, field_new
 from .incidence import collect, count_distinct_tuples, count_hermite_tuples
 from .multipoly import MultiPoly
-from .unipoly import MonicPoly, UniPoly, discriminant, resultant
+from .unipoly import UniPoly, discriminant, resultant
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "FamilySpec",
     "Field",
     "Fq",
-    "MonicPoly",
     "MultiPoly",
     "UniPoly",
     "average_bound_applicable",

@@ -76,30 +76,6 @@ def projective_space_size(q, r):
     return (q ** (r + 1) - 1) // (q - 1)
 
 
-def affine_point_bound(dim, deg, q):
-    """Upper bound deg * q^dim for points of an affine variety."""
-    if dim < 0 or deg < 1:
-        raise ParameterRange(f"need dim >= 0 and deg >= 1, got dim={dim}, deg={deg}")
-    return deg * q**dim
-
-
-def projective_point_bound(dim, deg, q):
-    """Upper bound deg * (q^dim + ... + 1) for points of a projective variety."""
-    if dim < 0 or deg < 1:
-        raise ParameterRange(f"need dim >= 0 and deg >= 1, got dim={dim}, deg={deg}")
-    return deg * projective_space_size(q, dim)
-
-
-def bezout_degree(degrees):
-    """Product of degrees: the generic intersection-degree label for reports."""
-    out = 1
-    for e in degrees:
-        if e < 1:
-            raise ParameterRange(f"degrees must be >= 1, got {degrees}")
-        out *= e
-    return out
-
-
 def _pair_constants(multidegree):
     delta = 1
     excess = 0

@@ -35,7 +35,6 @@ from .bounds import family_size_bracket
 from .families import FamilySpec, enumerate_family
 from .ffield import Field, embedding_table, field_new
 from .linalg import rank
-from .unipoly import UniPoly, poly_gcd
 
 PASS = "pass-necessary-conditions"
 FAIL = "fail"
@@ -217,26 +216,27 @@ def check_regularity_at_infinity(
     )
 
 
-def _repeated_root_profile_prime(p, tail_desc, d):
-    """Per-shift gcd degrees for one member over a prime field.
+def _repeated_root_profile(field: Field, tail_desc, d):
+    """Per-shift gcd degrees for one member.
 
     tail_desc is (a_{d-1}, ..., a_1).  Returns (n1, n2, first1, first2)
     where n1 counts shifts a_0 with a repeated root, n2 those with a root of
     multiplicity at least three (equivalently deg gcd(f, f') >= 2), and the
     firsts are the smallest such shifts (or None).
     """
-    asc = [0] + list(reversed(tail_desc)) + [1]
-    deriv = [(j * asc[j]) % p for j in range(1, d + 1)]
+    rows = field.rows()
+    mul = rows[1]
+    f = [0] + list(reversed(tail_desc)) + [1]
+    deriv = [mul[field.scalar(j)][f[j]] for j in range(1, d + 1)]
     while deriv and deriv[-1] == 0:
         deriv.pop()
     if not deriv:
-        return p, p, 0, 0
+        return field.q, field.q, 0, 0
     n1 = n2 = 0
     first1 = first2 = None
-    for a0 in range(p):
-        f = asc[:]
+    for a0 in range(field.q):
         f[0] = a0
-        g = _gcd_degree_prime(p, f, deriv)
+        g = _gcd_degree(rows, f, deriv)
         if g >= 1:
             n1 += 1
             if first1 is None:
@@ -248,48 +248,31 @@ def _repeated_root_profile_prime(p, tail_desc, d):
     return n1, n2, first1, first2
 
 
-def _gcd_degree_prime(p, a, b):
-    """Degree of gcd of two coefficient lists (ascending) over F_p; b != 0."""
+def _gcd_degree(rows, a, b):
+    """Degree of gcd of two ascending coefficient-index lists, through the
+    field's lookup rows; b is nonzero with a nonzero last entry.
+
+    `unipoly.poly_gcd` is the reference implementation that tests compare
+    against.
+    """
+    add, mul, neg, inv = rows
     a = a[:]
     b = b[:]
     while b:
         db = len(b) - 1
-        inv = pow(b[-1], p - 2, p)
+        scale = mul[inv[b[-1]]]
         for i in range(len(a) - 1, db - 1, -1):
             c = a[i]
             if c:
-                c = (c * inv) % p
+                minus_c = mul[neg[scale[c]]]
                 off = i - db
                 for j in range(db):
-                    a[off + j] = (a[off + j] - c * b[j]) % p
+                    a[off + j] = add[a[off + j]][minus_c[b[j]]]
                 a[i] = 0
         while a and a[-1] == 0:
             a.pop()
         a, b = b, a
     return len(a) - 1
-
-
-def _repeated_root_profile_generic(field: Field, tail_desc, d):
-    """Extension-field version of the per-member repeated-root profile."""
-    asc = [0] + list(reversed(tail_desc)) + [1]
-    f = UniPoly(field, asc)
-    deriv = f.derivative()
-    if deriv.degree < 0:
-        return field.q, field.q, 0, 0
-    n1 = n2 = 0
-    first1 = first2 = None
-    for a0 in field.indices():
-        shifted = UniPoly(field, [field.add(asc[0], a0)] + asc[1:])
-        g = poly_gcd(shifted, deriv).degree
-        if g >= 1:
-            n1 += 1
-            if first1 is None:
-                first1 = a0
-            if g >= 2:
-                n2 += 1
-                if first2 is None:
-                    first2 = a0
-    return n1, n2, first1, first2
 
 
 def check_discriminant_loci(
@@ -323,13 +306,9 @@ def check_discriminant_loci(
     members = 0
     deriv_zero_pairs = 0
     witness1 = witness2 = None
-    prime = field.s == 1
     for member in enumerate_family(spec):
         members += 1
-        if prime:
-            m1, m2, f1, f2 = _repeated_root_profile_prime(field.p, member.a, d)
-        else:
-            m1, m2, f1, f2 = _repeated_root_profile_generic(field, member.a, d)
+        m1, m2, f1, f2 = _repeated_root_profile(field, member.a, d)
         if m1 == q and m2 == q:
             # shift-independent degeneracy: derivative vanished identically
             asc = [0] + list(reversed(member.a)) + [1]

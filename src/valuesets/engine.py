@@ -53,20 +53,18 @@ def value_set_size(f):
 def _member_histogram(field, a_desc, profile):
     """Accumulate one member's root-count histogram into profile.
 
-    a_desc is (a_{d-1}, ..., a_1).  hist[a_0] counts c with -f(c) = a_0;
-    adds the histogram's n-distribution into profile[n] and returns
-    V(f) = #nonzero entries.
+    a_desc is (a_{d-1}, ..., a_1).  hist[v] counts c with f(c) = v, which
+    is the root count of f + a_0 at a_0 = -v; adds the histogram's
+    n-distribution into profile[n] and returns V(f) = #nonzero entries.
     """
-    add, mul, neg = field.add, field.mul, field.neg
-    q = field.q
-    hist = [0] * q
-    for c in field.indices():
-        # Horner over (1, a_{d-1}, ..., a_1, 0)
+    add, mul, _, _ = field.rows()
+    hist = [0] * field.q
+    for mc in mul:
+        # Horner over (1, a_{d-1}, ..., a_1, 0) at the row's point c
         acc = 1
         for coef in a_desc:
-            acc = add(mul(acc, c), coef)
-        acc = mul(acc, c)  # constant coefficient of the member is 0
-        hist[neg(acc)] += 1
+            acc = add[mc[acc]][coef]
+        hist[mc[acc]] += 1  # constant coefficient of the member is 0
     vf = 0
     for n in hist:
         profile[n] += 1
@@ -127,13 +125,6 @@ class ValueSetSummary:
     sum_values: int
     average: Fraction
     interpolating_counts: dict  # r -> S_r for r = 1..r_max
-
-    def alternating_average(self):
-        """(1/|A|) sum of (-1)^(r-1) S_r over the stored r range."""
-        total = 0
-        for r, s in sorted(self.interpolating_counts.items()):
-            total += s if r % 2 else -s
-        return Fraction(total, self.member_count)
 
 
 def summarize(spec, r_max=None, scan=None):
@@ -216,10 +207,3 @@ def count_interpolating_sets_direct(
                 if ok:
                     total += 1
     return total
-
-
-def inclusion_exclusion_check(spec, scan=None):
-    """Return (alternating S_r average, exact-equality flag with V(A))."""
-    summary = summarize(spec, scan=scan)
-    alt = summary.alternating_average()
-    return alt, alt == summary.average

@@ -34,8 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import echelon_from_right
-from .multipoly import MultiPoly, elementary_symmetric, weighted_compose
-from .unipoly import MonicPoly
+from .multipoly import elementary_symmetric, weighted_compose
 
 
 class FamilyMember(NamedTuple):
@@ -163,16 +162,6 @@ def enumerate_family(spec, partition=None):
 def family_cardinality(spec):
     """|A| by exact enumeration."""
     return sum(1 for _ in enumerate_family(spec))
-
-
-def family_cardinality_inclusive(spec):
-    """Point count with the additive shift a_0 as a free coordinate: |A| * q."""
-    return family_cardinality(spec) * spec.field.q
-
-
-def member_poly(spec, member):
-    """The monic polynomial with the member's coefficients and a_0 = 0."""
-    return MonicPoly.from_desc(spec.field, list(member.a) + [0])
 
 
 def linear_family(field, d, m, forms):

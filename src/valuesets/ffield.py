@@ -5,8 +5,9 @@ is the residue itself.  For an extension field F_p[x]/(m) the index encodes
 the coordinate vector (c_0, ..., c_{s-1}) in base p with c_0 (the constant
 coordinate) least significant, so enumeration order starts at 0 and is a
 plain base-p counter.  Counting kernels elsewhere in the package work on raw
-indices through the `Field` methods; `Fq` wraps an index with its field and
-adds operator sugar for tests and interactive use.
+indices through the lookup rows of `Field.rows()`, the same for every field;
+`Fq` wraps an index with its field and adds operator sugar for tests and
+interactive use.
 
 All arithmetic is exact; Python integers never overflow.
 """
@@ -21,7 +22,8 @@ from .errors import (
     ZeroInverse,
 )
 
-# Extension fields at or below this order precompute full op tables.
+# Extension fields at or below this order precompute their rows, and their
+# add/mul/neg/inv methods read them.
 _TABLE_MAX = 256
 
 
@@ -99,9 +101,9 @@ def _search_modulus(p: int, s: int) -> tuple[int, ...]:
 class Field:
     """Base class; use `field_new` to construct.
 
-    Subclasses implement add/mul/neg/inv on canonical indices.  Fields
-    compare by value (p, s, modulus) so instances rebuilt in worker
-    processes interoperate.
+    Subclasses implement add/mul/neg/inv on canonical indices and set
+    `_rows = None` in `__init__`.  Fields compare by value (p, s, modulus)
+    so instances rebuilt in worker processes interoperate.
     """
 
     p: int
@@ -111,6 +113,24 @@ class Field:
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
+
+    def rows(self) -> tuple[list, list, list, list]:
+        """Lookup rows (add, mul, neg, inv) for the counting kernels.
+
+        add[a][b] and mul[a][b] index lists of q rows; neg[a] and inv[a] are
+        flat, with inv[0] = 0.  Built from the methods on first use unless
+        the field made them at construction.
+        """
+        if self._rows is None:
+            idx = range(self.q)
+            add, mul = self.add, self.mul
+            self._rows = (
+                [[add(a, b) for b in idx] for a in idx],
+                [[mul(a, b) for b in idx] for a in idx],
+                [self.neg(a) for a in idx],
+                [0] + [self.inv(a) for a in idx[1:]],
+            )
+        return self._rows
 
     def add(self, a: int, b: int) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -202,6 +222,7 @@ class PrimeField(Field):
         self.s = 1
         self.q = p
         self.modulus = None
+        self._rows = None
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -233,6 +254,7 @@ class ExtensionField(Field):
         self.s = s
         self.q = p**s
         self.modulus = modulus
+        self._rows = None
         self._add_t = self._mul_t = self._neg_t = self._inv_t = None
         if self.q <= _TABLE_MAX:
             self._build_tables()
@@ -277,38 +299,30 @@ class ExtensionField(Field):
 
     def _build_tables(self):
         q = self.q
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
+        add = [[0] * q for _ in range(q)]
+        mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            base = a * q
             for b in range(a, q):
-                v = self._add_slow(a, b)
-                add[base + b] = v
-                add[b * q + a] = v
-                w = self._mul_slow(a, b)
-                mul[base + b] = w
-                mul[b * q + a] = w
-        self._add_t, self._mul_t = add, mul
-        self._neg_t = [self._neg_slow(a) for a in range(q)]
+                add[a][b] = add[b][a] = self._add_slow(a, b)
+                mul[a][b] = mul[b][a] = self._mul_slow(a, b)
+        neg = [self._neg_slow(a) for a in range(q)]
         inv = [0] * q
         for a in range(1, q):
-            if inv[a]:
-                continue
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        self._inv_t = inv
+            if not inv[a]:
+                b = mul[a].index(1)
+                inv[a] = b
+                inv[b] = a
+        self._rows = (add, mul, neg, inv)
+        self._add_t, self._mul_t, self._neg_t, self._inv_t = self._rows
 
     def add(self, a, b):
         if self._add_t is not None:
-            return self._add_t[a * self.q + b]
+            return self._add_t[a][b]
         return self._add_slow(a, b)
 
     def mul(self, a, b):
         if self._mul_t is not None:
-            return self._mul_t[a * self.q + b]
+            return self._mul_t[a][b]
         return self._mul_slow(a, b)
 
     def neg(self, a):

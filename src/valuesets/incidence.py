@@ -9,24 +9,25 @@ Three counts per tuple length r, each over all (member, shift a_0) pairs:
               belongs to exactly one shift.
 * coincident: hermite tuples with at least one repeated node.
 
-distinct = hermite - coincident is a theorem; collect() re-checks it on
-every run and aborts on violation.
+distinct = hermite - coincident is a theorem.  `check_identities` re-checks
+it, together with the inclusion-exclusion and orbit identities of the
+histogram, on every run and raises `IdentityViolation` on a mismatch; the
+CLI, its seed check and `collect` all go through it.
 
 The hermite count walks a DFS over node prefixes.  The state per prefix is
 the vector of complete homogeneous sums h_k(nodes); appending a node t
 updates it by h'_k = h_k + t*h'_{k-1}, and the depth-i equation is
 sum_j c_j * h'_{j-i+1} over the coefficients c of the member (monic, so
 c_d = 1; the constant slot cancels out of every depth >= 2 equation).
-Failing prefixes cut their whole subtree.  The production path for prime
-fields works on raw residues; extension fields go through field ops.
+Failing prefixes cut their whole subtree.  One kernel serves every field:
+it works on raw indices through the lookup rows of `Field.rows()`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import perm
+from math import factorial, perm
 
-from .bounds import coincident_count_bound, hermite_count_error_bound
 from .engine import DEFAULT_ORACLE_BUDGET, oracle_members, scan_family
 from .errors import IdentityViolation, ParameterRange
 from .families import enumerate_family
@@ -50,7 +51,7 @@ def count_distinct_tuples(spec, r, scan=None):
     return scan.distinct_tuple_count(r)
 
 
-def _profile_member_prime(p, coeffs, r_max, star, coinc, order):
+def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
     d = len(coeffs) - 1
 
     def descend(h, prefix, has_dup, depth):
@@ -61,56 +62,29 @@ def _profile_member_prime(p, coeffs, r_max, star, coinc, order):
             return
         nd = depth + 1
         kmax = d - nd + 1
-        cs = coeffs[nd - 1 :]
+        c0 = coeffs[nd - 1]
+        # per k: the add row of h_k and the mul row of the coefficient c_k
+        steps = [
+            (add[h[k]], mul[coeffs[nd - 1 + k]]) for k in range(1, kmax + 1)
+        ]
         for t in order:
+            mt = mul[t]
             prev = 1
-            dd = cs[0]
+            dd = c0
             hp = [1]
-            for k in range(1, kmax + 1):
-                prev = (h[k] + t * prev) % p
+            for add_h, mul_c in steps:
+                prev = add_h[mt[prev]]
                 hp.append(prev)
-                dd += cs[k] * prev
-            if dd % p == 0:
-                descend(hp, prefix + (t,), has_dup or t in prefix, nd)
-
-    for t in order:
-        h1 = [1]
-        acc = 1
-        for _ in range(d):
-            acc = acc * t % p
-            h1.append(acc)
-        descend(h1, (t,), False, 1)
-
-
-def _profile_member_generic(field, coeffs, r_max, star, coinc, order):
-    add, mul = field.add, field.mul
-    d = len(coeffs) - 1
-
-    def descend(h, prefix, has_dup, depth):
-        star[depth] += 1
-        if has_dup:
-            coinc[depth] += 1
-        if depth == r_max:
-            return
-        nd = depth + 1
-        kmax = d - nd + 1
-        cs = coeffs[nd - 1 :]
-        for t in order:
-            prev = 1
-            dd = cs[0]
-            hp = [1]
-            for k in range(1, kmax + 1):
-                prev = add(h[k], mul(t, prev))
-                hp.append(prev)
-                dd = add(dd, mul(cs[k], prev))
+                dd = add[dd][mul_c[prev]]
             if dd == 0:
                 descend(hp, prefix + (t,), has_dup or t in prefix, nd)
 
     for t in order:
+        mt = mul[t]
         h1 = [1]
         acc = 1
         for _ in range(d):
-            acc = mul(acc, t)
+            acc = mt[acc]
             h1.append(acc)
         descend(h1, (t,), False, 1)
 
@@ -127,15 +101,12 @@ def hermite_profile(spec, r_max, partition=None, order=None):
     field = spec.field
     if order is None:
         order = list(field.indices())
+    add, mul, _, _ = field.rows()
     star = [0] * (r_max + 1)
     coinc = [0] * (r_max + 1)
-    prime = field.s == 1
     for member in enumerate_family(spec, partition):
         coeffs = [0] + list(reversed(member.a)) + [1]
-        if prime:
-            _profile_member_prime(field.p, coeffs, r_max, star, coinc, order)
-        else:
-            _profile_member_generic(field, coeffs, r_max, star, coinc, order)
+        _profile_member(add, mul, coeffs, r_max, star, coinc, order)
     return star[1:], coinc[1:]
 
 
@@ -147,21 +118,52 @@ def count_coincident_tuples(spec, r, **kw):
     return hermite_profile(spec, r, **kw)[1][r - 1]
 
 
+def check_identities(scan, star, coinc, r_max, label):
+    """Check the exact Lemma equalities; a failure is an implementation bug.
+
+    On the histogram of `scan`: the mean equals the alternating sum of
+    the S_r over r = 1..d (inclusion-exclusion), and r! * S_r equals the
+    distinct-tuple count (orbit identity).  Against the DFS counts `star`
+    and `coinc`: distinct = hermite - coincident for r = 1..r_max.  Raises
+    `IdentityViolation` naming `label` and the histogram.
+    """
+    dump = f"family {label}, histogram {scan.profile}"
+    alternating = sum(
+        scan.interpolating_count(r) * (1 if r % 2 else -1)
+        for r in range(1, scan.d + 1)
+    )
+    if scan.sum_values != alternating:
+        members = scan.member_count
+        raise IdentityViolation(
+            f"inclusion-exclusion mismatch: mean "
+            f"{Fraction(scan.sum_values, members)} != alternating sum "
+            f"{Fraction(alternating, members)} ({dump})"
+        )
+    for r in range(1, r_max + 1):
+        s_r = scan.interpolating_count(r)
+        distinct = scan.distinct_tuple_count(r)
+        if factorial(r) * s_r != distinct:
+            raise IdentityViolation(
+                f"orbit identity mismatch at r={r}: r!*S_r = "
+                f"{factorial(r) * s_r} != distinct tuples {distinct} ({dump})"
+            )
+        if distinct != star[r - 1] - coinc[r - 1]:
+            raise IdentityViolation(
+                f"tuple subtraction mismatch at r={r}: distinct {distinct} != "
+                f"prefix-count {star[r - 1]} - coincident {coinc[r - 1]} ({dump})"
+            )
+
+
 def collect(spec, r_max, scan=None, partition=None):
-    """IncidenceCounts for r = 1..r_max with the subtraction identity enforced."""
+    """IncidenceCounts for r = 1..r_max, every identity checked first."""
     if scan is None:
         scan = scan_family(spec, partition)
     star, coinc = hermite_profile(spec, r_max, partition=partition)
-    out = []
-    for r in range(1, r_max + 1):
-        distinct = scan.distinct_tuple_count(r)
-        if distinct != star[r - 1] - coinc[r - 1]:
-            raise IdentityViolation(
-                f"r={r}: distinct={distinct} but hermite-coincident="
-                f"{star[r - 1]}-{coinc[r - 1]}={star[r - 1] - coinc[r - 1]} ({spec!r})"
-            )
-        out.append(IncidenceCounts(r, distinct, star[r - 1], coinc[r - 1]))
-    return out
+    check_identities(scan, star, coinc, r_max, repr(spec))
+    return [
+        IncidenceCounts(r, scan.distinct_tuple_count(r), star[r - 1], coinc[r - 1])
+        for r in range(1, r_max + 1)
+    ]
 
 
 # --- budget-guarded enumeration oracles ---------------------------------------
@@ -216,45 +218,3 @@ def count_hermite_tuples_oracle(
                 if hermite_divides(f, nodes):
                     total += 1
     return total
-
-
-# --- estimate reports ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class HermiteEstimateReport:
-    r: int
-    count: int
-    main_term: int  # q^(d-m), the full-dimension heuristic
-    bound: int
-    within: bool
-
-
-def hermite_estimate_report(spec, r, count=None):
-    """Compare the hermite tuple count against its main term and allowance.
-
-    Meaningful when the diagnostics module vouches for the family; otherwise
-    `within` simply records the deviation's size.
-    """
-    if count is None:
-        count = count_hermite_tuples(spec, r)
-    q = spec.field.q
-    main = q ** (spec.d - spec.m)
-    bound = hermite_count_error_bound(spec.d, spec.m, spec.degrees, r, q)
-    return HermiteEstimateReport(r, count, main, bound, abs(count - main) <= bound)
-
-
-@dataclass(frozen=True)
-class CoincidentBoundReport:
-    r: int
-    count: int
-    bound: int
-    ok: bool
-    ratio: Fraction  # count / bound, or None when the bound is 0
-
-
-def coincident_bound_check(spec, r, count=None):
-    if count is None:
-        count = count_coincident_tuples(spec, r)
-    bound = coincident_count_bound(spec.d, spec.m, spec.degrees, r, spec.field.q)
-    ratio = Fraction(count, bound) if bound else None
-    return CoincidentBoundReport(r, count, bound, count <= bound, ratio)

@@ -14,7 +14,6 @@ symmetric constructors) attach them at the parsing/printing layer.
 from itertools import combinations
 
 from .errors import ArityMismatch, ZeroPolynomial
-from .linalg import rank as matrix_rank
 
 
 def _grlex_key(exps):
@@ -182,26 +181,6 @@ class MultiPoly:
         return f"MultiPoly({self.nvars} vars; {body})"
 
 
-def jacobian_eval(gs, point):
-    """Evaluate the Jacobian of a constraint list at a point.
-
-    Returns (rows, rank): rows[i][j] is the formal partial of gs[i] in
-    variable j evaluated at point; rank is computed by Gaussian elimination
-    over the shared field.
-    """
-    if not gs:
-        raise ArityMismatch("empty constraint list")
-    field = gs[0].field
-    nvars = gs[0].nvars
-    for g in gs:
-        if g.nvars != nvars or g.field != field:
-            raise ArityMismatch("constraints disagree on field or arity")
-    if len(point) != nvars:
-        raise ArityMismatch(f"point length {len(point)}, expected {nvars}")
-    rows = [[g.partial(j).eval(point) for j in range(nvars)] for g in gs]
-    return rows, matrix_rank(field, rows)
-
-
 def elementary_symmetric(field, nvars, k):
     """The k-th elementary symmetric polynomial in nvars variables."""
     if not 1 <= k <= nvars:
@@ -211,21 +190,6 @@ def elementary_symmetric(field, nvars, k):
         exps = tuple(1 if j in subset else 0 for j in range(nvars))
         terms[exps] = 1
     return MultiPoly(field, nvars, terms)
-
-
-def term_weight(exps):
-    """Weight of a monomial when variable i carries weight i+1 (Y_1..Y_s)."""
-    return sum((i + 1) * e for i, e in enumerate(exps))
-
-
-def highest_weight_part(g):
-    """Sum of the terms of maximal weight under term_weight."""
-    if g.is_zero():
-        raise ZeroPolynomial("zero polynomial has no highest-weight part")
-    top = max(term_weight(e) for e in g.terms)
-    return MultiPoly(
-        g.field, g.nvars, {e: c for e, c in g.terms.items() if term_weight(e) == top}
-    )
 
 
 def weighted_compose(g, pis):

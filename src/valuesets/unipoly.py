@@ -375,41 +375,3 @@ def hermite_divides(f: UniPoly, points: Sequence[int]) -> bool:
         return False
     return (f % prod).is_zero()
 
-
-class MonicPoly:
-    """Monic T^d + a_{d-1}T^{d-1} + ... + a_0 from a constrained family.
-
-    `tail` holds (a_0, ..., a_{d-1}) ascending; the leading 1 is implied.
-    """
-
-    __slots__ = ("field", "tail")
-
-    def __init__(self, field: Field, tail: Sequence[int]):
-        if len(tail) < 1:
-            raise DegreeTooLow("monic family polynomials have degree >= 1")
-        self.field = field
-        self.tail = tuple(tail)
-
-    @classmethod
-    def from_desc(cls, field: Field, coeffs_desc: Sequence[int]) -> "MonicPoly":
-        """Build from (a_{d-1}, ..., a_1, a_0)."""
-        return cls(field, tuple(reversed(tuple(coeffs_desc))))
-
-    @property
-    def d(self) -> int:
-        return len(self.tail)
-
-    def to_unipoly(self) -> UniPoly:
-        return UniPoly(self.field, self.tail + (1,))
-
-    def eval(self, x: int) -> int:
-        return self.to_unipoly().eval(x)
-
-    def divided_difference(self, points: Sequence[int]) -> int:
-        return divided_difference(self.to_unipoly(), points)
-
-    def hermite_divides(self, points: Sequence[int]) -> bool:
-        return hermite_divides(self.to_unipoly(), points)
-
-    def __repr__(self):
-        return f"MonicPoly(d={self.d}, tail={list(self.tail)})"

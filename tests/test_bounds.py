@@ -6,19 +6,16 @@ import pytest
 
 from valuesets.bounds import (
     LogMagnitude,
-    affine_point_bound,
     average_bound_applicable,
     average_error_bound,
     average_error_bound_linear,
     average_error_bound_symmetric,
-    bezout_degree,
     coincident_count_bound,
     constants,
     family_size_bracket,
     hermite_count_error_bound,
     interp_count_error_bound,
     point_count_error_bound,
-    projective_point_bound,
     projective_space_size,
     size_threshold_ok,
     value_set_term_profile,
@@ -63,17 +60,6 @@ def test_constants_errors():
         constants(4, [1], 0)
     with pytest.raises(ParameterRange):
         constants(4, [1], 5)
-
-
-def test_point_bounds():
-    assert affine_point_bound(1, 3, 5) == 15
-    assert affine_point_bound(0, 4, 11) == 4
-    assert projective_point_bound(1, 2, 3) == 8
-    assert bezout_degree([2, 3, 4]) == 24
-    with pytest.raises(ParameterRange):
-        affine_point_bound(-1, 2, 5)
-    with pytest.raises(ParameterRange):
-        projective_point_bound(1, 0, 5)
 
 
 def test_point_count_error_bound_worked():

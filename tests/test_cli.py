@@ -3,6 +3,7 @@ from textwrap import dedent
 
 import pytest
 
+from valuesets.bounds import average_error_bound
 from valuesets.cli import main, run_experiment
 from valuesets.config import build_family, parse_config
 from valuesets.engine import ScanResult, scan_family
@@ -10,7 +11,7 @@ from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import partition_ranges
 from valuesets.ffield import field_new
-from valuesets.report import report_columns
+from valuesets.report import format_magnitude, report_columns
 
 LINEAR_Q11 = dedent(
     """\
@@ -155,6 +156,39 @@ def test_empty_family_raises():
     )
     with pytest.raises(EmptyFamily):
         run_experiment(cfg)
+
+
+def test_symmetric_allowance_needs_tame_characteristic():
+    # p = 2 divides d(d-1) = 30, so the symmetric allowance's hypothesis
+    # fails over F_8 and the run falls back to the general allowance.
+    cfg = parse_config(
+        dedent(
+            """\
+            [field]
+            p = 2
+            s = 3
+
+            [family]
+            kind = symmetric
+            d = 6
+            m = 1
+            s_count = 1
+            S = Y1
+
+            [run]
+            r_max = 2
+            oracle_budget = 0
+            diag_extensions = 1
+            """
+        )
+    )
+    report = run_experiment(cfg)
+    assert report.row["family_size"] == "4096"
+    spec = build_family(cfg)
+    general = average_error_bound(6, 1, spec.degrees, 8)
+    assert report.row["main_bound"] == format_magnitude(general)
+    assert "allowance (general): " in report.to_summary()
+    assert "allowance (symmetric)" not in report.to_summary()
 
 
 def test_zero_budget_skips_oracles_with_note():

@@ -10,7 +10,6 @@ from valuesets.engine import (
     count_interpolating_sets,
     count_interpolating_sets_direct,
     generic_density,
-    inclusion_exclusion_check,
     scan_family,
     summarize,
     value_set_size,
@@ -21,10 +20,10 @@ from valuesets.families import (
     FamilySpec,
     enumerate_family,
     linear_family,
-    member_poly,
     partition_ranges,
 )
 from valuesets.ffield import field_new
+from valuesets.incidence import check_identities, hermite_profile
 from valuesets.multipoly import MultiPoly
 from valuesets.unipoly import UniPoly
 
@@ -156,9 +155,13 @@ def test_inclusion_exclusion_exact():
         FamilySpec(F5, 4, 1, [constraint("A3^2 - A2", F5, 4)]),
         linear_family(F7, 4, 1, [constraint("A3 - 2", F7, 4)]),
     ]:
-        alt, equal = inclusion_exclusion_check(spec)
-        assert equal
-        assert alt == average_value_set(spec)
+        scan = scan_family(spec)
+        star, coinc = hermite_profile(spec, spec.d)
+        check_identities(scan, star, coinc, spec.d, repr(spec))
+        alternating = sum(
+            (-1) ** (r - 1) * scan.interpolating_count(r) for r in range(1, spec.d + 1)
+        )
+        assert Fraction(alternating, scan.member_count) == average_value_set(spec)
 
 
 def test_summary_fields():
@@ -171,7 +174,8 @@ def test_summary_fields():
     members = list(enumerate_family(spec))
     assert len(members) == 5
     assert summary.sum_values == sum(
-        value_set_size(member_poly(spec, member)) for member in members
+        value_set_size(UniPoly(F5, [0] + list(reversed(member.a)) + [1]))
+        for member in members
     )
 
 

@@ -11,14 +11,11 @@ from valuesets.errors import (
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.ffield import field_new
 from valuesets.families import (
-    FamilyMember,
     FamilySpec,
     candidate_at,
     enumerate_family,
     family_cardinality,
-    family_cardinality_inclusive,
     linear_family,
-    member_poly,
     partition_ranges,
     symmetric_family,
 )
@@ -39,7 +36,6 @@ def test_linear_count_q5_d4():
     assert len(members) == 25
     assert all(m.a[0] == 0 for m in members)
     assert family_cardinality(spec) == 25
-    assert family_cardinality_inclusive(spec) == 125
 
 
 def test_unit_constraint_empty_family():
@@ -105,15 +101,6 @@ def test_partition_bounds_checked():
     spec = linear_family(F3, 4, 1, [constraint("A3", F3, 4)])
     with pytest.raises(ParameterRange):
         list(enumerate_family(spec, partition=(0, 100)))
-
-
-def test_member_poly():
-    spec = linear_family(F7, 4, 1, [constraint("A3", F7, 4)])
-    mem = FamilyMember((0, 3, 2))
-    f = member_poly(spec, mem)
-    # T^4 + 3T^2 + 2T with a_0 = 0
-    assert f.tail == (0, 2, 3, 0)
-    assert f.eval(1) == (1 + 3 + 2) % 7
 
 
 def test_linear_family_validation():

@@ -9,7 +9,7 @@ from valuesets.errors import (
     ReducibleModulus,
     ZeroInverse,
 )
-from valuesets.ffield import Fq, field_enumerate, field_new
+from valuesets.ffield import _TABLE_MAX, Fq, field_enumerate, field_new
 
 # fields small enough for exhaustive axiom sweeps
 AXIOM_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (7, 2), (2, 6)]
@@ -61,6 +61,23 @@ def test_field_axioms(p, s):
                 assert fld.add(fld.add(a, b), c) == fld.add(a, fld.add(b, c))
                 assert fld.mul(fld.mul(a, b), c) == fld.mul(a, fld.mul(b, c))
                 assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+
+
+@pytest.mark.parametrize("p,s", [(13, 1), (2, 4), (7, 2), (17, 2)])
+def test_rows_match_methods(p, s):
+    # F_289 is above _TABLE_MAX: its rows are built on first use from the
+    # coordinate arithmetic, which its methods keep using
+    fld = field_new(p, s)
+    assert (fld.q > _TABLE_MAX) == ((p, s) == (17, 2))
+    add, mul, neg, inv = fld.rows()
+    assert fld.rows() is fld.rows()
+    idx = list(fld.indices())
+    assert len(add) == len(mul) == len(neg) == len(inv) == fld.q
+    for a in idx:
+        assert add[a] == [fld.add(a, b) for b in idx]
+        assert mul[a] == [fld.mul(a, b) for b in idx]
+        assert neg[a] == fld.neg(a)
+        assert inv[a] == (fld.inv(a) if a else 0)
 
 
 @pytest.mark.parametrize("p,s", AXIOM_FIELDS)

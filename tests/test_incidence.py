@@ -10,21 +10,18 @@ from valuesets.families import FamilySpec, enumerate_family, linear_family
 from valuesets.ffield import field_new
 from valuesets.incidence import (
     IncidenceCounts,
-    coincident_bound_check,
     collect,
     count_coincident_tuples,
     count_distinct_tuples,
     count_distinct_tuples_oracle,
     count_hermite_tuples,
     count_hermite_tuples_oracle,
-    hermite_estimate_report,
     hermite_profile,
 )
 
 F4 = field_new(2, 2)
 F5 = field_new(5)
 F7 = field_new(7)
-F11 = field_new(11)
 
 
 def constraint(text, field, d):
@@ -192,19 +189,3 @@ def test_oracles_check_budget_before_enumerating(monkeypatch):
     assert count_hermite_tuples_oracle(spec, 1, 343, members) == members * 7
     assert calls == ["filter_family"]
 
-
-def test_hermite_estimate_report_linear_q11():
-    spec = linear_family(F11, 4, 1, [constraint("A3", F11, 4)])
-    rep = hermite_estimate_report(spec, 2)
-    assert rep.main_term == 11**3
-    assert rep.within
-    assert rep.count == count_hermite_tuples(spec, 2)
-
-
-def test_coincident_bound_reports():
-    spec = linear_family(F7, 4, 1, [constraint("A3", F7, 4)])
-    r1 = coincident_bound_check(spec, 1)
-    assert r1.ok and r1.count == 0 and r1.bound == 0 and r1.ratio is None
-    r2 = coincident_bound_check(spec, 2)
-    assert r2.ok
-    assert r2.ratio is not None and 0 <= r2.ratio <= 1

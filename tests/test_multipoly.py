@@ -7,9 +7,6 @@ from valuesets.ffield import field_new
 from valuesets.multipoly import (
     MultiPoly,
     elementary_symmetric,
-    highest_weight_part,
-    jacobian_eval,
-    term_weight,
     weighted_compose,
 )
 
@@ -106,25 +103,6 @@ def test_partial_derivatives_characteristic():
     assert lhs == rhs
 
 
-def test_jacobian_rank_examples():
-    a3 = var(F5, 3, 0)
-    rows, rk = jacobian_eval([a3], (0, 0, 0))
-    assert rows == [[1, 0, 0]] and rk == 1
-    # square over F_2: derivative row vanishes
-    sq = var(F2, 3, 0) ** 2
-    rows, rk = jacobian_eval([sq], (1, 0, 0))
-    assert rows == [[0, 0, 0]] and rk == 0
-    # proportional linear forms have rank 1
-    f1 = var(F5, 3, 0) + var(F5, 3, 1)
-    f2 = f1.scale(2)
-    _, rk = jacobian_eval([f1, f2], (1, 1, 1))
-    assert rk == 1
-    with pytest.raises(ArityMismatch):
-        jacobian_eval([a3], (0, 0))
-    with pytest.raises(ArityMismatch):
-        jacobian_eval([a3, var(F5, 2, 0)], (0, 0, 0))
-
-
 def test_elementary_symmetric_shapes():
     e1 = elementary_symmetric(F5, 3, 1)
     assert e1 == var(F5, 3, 0) + var(F5, 3, 1) + var(F5, 3, 2)
@@ -148,18 +126,6 @@ def test_elementary_symmetric_permutation_invariance():
                 assert ek.eval(perm) == base
 
 
-def test_weights_and_highest_weight_part():
-    # Y_1^2 and Y_2 both have weight 2
-    assert term_weight((2, 0)) == 2
-    assert term_weight((0, 1)) == 2
-    s = var(F5, 2, 0) ** 2 + var(F5, 2, 1)
-    assert highest_weight_part(s) == s
-    t = s + var(F5, 2, 0)  # adds a weight-1 term
-    assert highest_weight_part(t) == s
-    with pytest.raises(ZeroPolynomial):
-        highest_weight_part(MultiPoly.zero(F5, 2))
-
-
 def test_weighted_compose():
     # g = Y_1 composed with Pi_1 over 4 variables
     pi1 = elementary_symmetric(F5, 4, 1)
@@ -180,7 +146,8 @@ def test_weighted_compose_degree_bound():
     # deg Pi_k = k, so a monomial of weight w composes to degree <= w
     pis = [elementary_symmetric(F7, 5, k) for k in (1, 2, 3)]
     g = var(F7, 3, 0) ** 2 * var(F7, 3, 2) + var(F7, 3, 1) ** 2
-    top = max(term_weight(e) for e in g.terms)
+    # weight of Y_1^e1 ... Y_s^es is e1 + 2*e2 + ... + s*es
+    top = max(sum((i + 1) * e for i, e in enumerate(exps)) for exps in g.terms)
     comp = weighted_compose(g, pis)
     assert comp.total_degree <= top
     assert comp.total_degree == 5  # 2*wt(Y1) + wt(Y3) with no cancellation

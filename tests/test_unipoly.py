@@ -10,7 +10,6 @@ from valuesets.errors import (
 )
 from valuesets.ffield import field_new
 from valuesets.unipoly import (
-    MonicPoly,
     UniPoly,
     disc_info,
     discriminant,
@@ -321,13 +320,3 @@ def test_hermite_iff_prefix_dd_vanish(field, d):
                 )
                 assert prefix_rev == prefix_ok, (f, pts)
 
-
-def test_monic_poly_wrapper():
-    mp = MonicPoly.from_desc(F7, [2, 0, 5])  # T^3 + 2T^2 + 5
-    assert mp.d == 3
-    assert mp.tail == (5, 0, 2)
-    assert mp.to_unipoly() == UniPoly.of(F7, [5, 0, 2, 1])
-    assert mp.eval(1) == (1 + 2 + 5) % 7
-    assert mp.hermite_divides([mp.to_unipoly().roots()[0]]) if mp.to_unipoly().roots() else True
-    with pytest.raises(DegreeTooLow):
-        MonicPoly(F7, [])
