@@ -69,13 +69,6 @@ def constants(d, degrees, r):
     )
 
 
-def projective_space_size(q, r):
-    """q^r + q^(r-1) + ... + 1."""
-    if r < 0:
-        raise ParameterRange(f"need r >= 0, got {r}")
-    return (q ** (r + 1) - 1) // (q - 1)
-
-
 def _pair_constants(multidegree):
     delta = 1
     excess = 0
@@ -147,20 +140,6 @@ def interp_count_error_bound(d, m, degrees, r, q):
     for i in range(2, r + 1):
         fact *= i
     return Fraction(lead * isqrt(q) + tail, fact) * q ** (d - m - 1)
-
-
-def hermite_count_error_bound(d, m, degrees, r, q):
-    """Deviation allowance for the prefix-equation tuple count around q^(d-m)."""
-    c = constants(d, degrees, r)
-    lead = c.total_deg_product * (c.total_excess_sum - 2) + 2
-    tail = 14 * c.total_excess_sum**2 * c.total_deg_product**2 + 4 * r * c.deg_product
-    return lead * isqrt(q) * q ** (d - m - 1) + tail * q ** (d - m - 1)
-
-
-def coincident_count_bound(d, m, degrees, r, q):
-    """Upper bound for tuples with a repeated node: pure integer."""
-    c = constants(d, degrees, r)
-    return c.total_deg_product * comb(r, 2) * q ** (d - m - 1)
 
 
 # --- log-space magnitudes ----------------------------------------------------

@@ -1,12 +1,13 @@
 """Config-driven experiment runner.
 
 Pipeline per run: build the configured field and family, scan the family
-for the root-count histogram (optionally partitioned across worker
-processes), walk the prefix-equation DFS for the tuple counts, check every
-exact cross-identity (these are theorems, so a mismatch aborts the run),
-run the enumeration oracles that fit in the configured budget, evaluate the
-headline allowance, attach diagnostics, and emit a CSV row plus a
-human-readable summary.
+for the root-count histogram and the multiplicity patterns (optionally
+partitioned across worker processes), take the hermite and coincident tuple
+counts from the scan, check every exact cross-identity (these are theorems,
+so a mismatch aborts the run), run the oracles that fit in the configured
+budget (the prefix-equation DFS among them), evaluate the headline
+allowance, attach diagnostics, and emit a CSV row plus a human-readable
+summary.
 
 Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.
@@ -43,6 +44,7 @@ from .families import linear_family, partition_ranges
 from .ffield import field_new
 from .incidence import (
     check_identities,
+    check_pattern_counts,
     count_distinct_tuples_oracle,
     count_hermite_tuples_oracle,
     hermite_profile,
@@ -58,38 +60,37 @@ from .report import (
 
 
 def _scan_slice(args):
-    """Worker body: histogram plus DFS profile for one index slice."""
-    spec, r_max, index, index_range = args
-    scan = scan_family(spec, index_range)
-    star, coinc = hermite_profile(spec, r_max, partition=index_range)
-    return index, scan, star, coinc
+    """Worker body: histogram and multiplicity patterns for one index slice."""
+    spec, index, index_range = args
+    return index, scan_family(spec, index_range)
 
 
-def _gather(spec, r_max, workers):
+def _gather(spec, workers):
     if workers == 1:
-        scan = scan_family(spec)
-        star, coinc = hermite_profile(spec, r_max)
-        return scan, star, coinc
+        return scan_family(spec)
     ranges = partition_ranges(spec.space_size(), workers)
-    jobs = [(spec, r_max, i, ranges[i]) for i in range(workers)]
+    jobs = [(spec, i, rng) for i, rng in enumerate(ranges)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = sorted(pool.map(_scan_slice, jobs), key=lambda t: t[0])
     scan = ScanResult.empty(spec.d)
-    star = [0] * r_max
-    coinc = [0] * r_max
-    for _, part, st, co in parts:
+    for _, part in parts:
         scan = scan.merge(part)
-        star = [a + b for a, b in zip(star, st)]
-        coinc = [a + b for a, b in zip(coinc, co)]
-    return scan, star, coinc
+    return scan
 
 
-def _oracle_stages(spec, scan, star, r_max, budget):
-    """Independent literal enumerations, skipped with a note over budget.
+def _oracle_stages(spec, scan, star, coinc, r_max, budget):
+    """Independent computations, skipped over budget.
 
-    Each oracle checks its cost against the budget from the scan's member
-    count before it lists any member.
+    Each oracle checks its cost against the budget before it enumerates
+    anything: the prefix DFS from the scan's hermite counts (it tries q
+    children at each node of depth below r_max), the literal enumerations
+    from the scan's member count.  The DFS adds no summary line, whether it
+    runs or not; each literal enumeration adds one note.
     """
+    dfs_cost = spec.field.q * sum(star[:-1])
+    if dfs_cost <= budget:
+        dfs_star, dfs_coinc = hermite_profile(spec, r_max)
+        check_pattern_counts(star, coinc, dfs_star, dfs_coinc)
     notes = []
     members = scan.member_count
     for r in range(1, min(r_max, 2) + 1):
@@ -135,14 +136,15 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     r_max = config.effective_r_max
     d, m, q = config.d, config.m, config.q
     family_id = config.family_id()
-    scan, star, coinc = _gather(spec, r_max, config.workers)
+    scan = _gather(spec, config.workers)
     if tamper_hook is not None:
         scan = tamper_hook(scan) or scan
     if scan.member_count == 0:
         raise EmptyFamily(f"family {family_id} has no members over F_{q}")
+    star, coinc = scan.tuple_profile(r_max)
     check_identities(scan, star, coinc, r_max, family_id)
     summary = summarize(spec, r_max, scan=scan)
-    notes = _oracle_stages(spec, scan, star, r_max, config.oracle_budget)
+    notes = _oracle_stages(spec, scan, star, coinc, r_max, config.oracle_budget)
 
     mu = generic_density(d)
     mu_q = mu * q
@@ -261,6 +263,7 @@ def seed_check() -> int:
         if scan.interpolating_count(1) != scan.member_count * field.q:
             raise IdentityViolation("S_1 != |A| * q")
         star, coinc = hermite_profile(spec, 3)
+        check_pattern_counts(*scan.tuple_profile(3), star, coinc)
         check_identities(scan, star, coinc, 3, "seed A2 over F_5")
     except IdentityViolation as exc:
         print(f"seed check failed: {exc}", file=sys.stderr)

@@ -14,10 +14,11 @@ points over small extensions:
   q-threshold holds.
 - `check_regularity_at_infinity`: the same checks applied to the highest
   homogeneous parts of the constraints, probing behaviour at infinity.
-- `check_discriminant_loci`: the loci where the shifted polynomial acquires
-  a repeated root (or a root of multiplicity three and higher) should have
-  codimension one resp. two inside the family; counts N1, N2 are compared
-  against Bezout-style allowances.
+- `check_discriminant_loci`: the loci where the shifted polynomial f has
+  deg gcd(f, f') >= 1 (a repeated root) resp. >= 2 (two repeated roots, a
+  triple root, or a root whose multiplicity the characteristic divides)
+  should have codimension one resp. two inside the family; counts N1, N2 are
+  compared against Bezout-style allowances.
 
 A report status is one of `pass-necessary-conditions`, `fail`, or
 `inconclusive`; a pass never claims more than the phrase says, and the
@@ -282,16 +283,20 @@ def check_discriminant_loci(
 ) -> DiagnosticReport:
     """Count members-with-shift whose polynomial has a repeated root.
 
-    N1 counts pairs (member, a_0) where the shifted polynomial has a root of
-    multiplicity >= 2 in the algebraic closure, N2 those with multiplicity
-    >= 3 (detected as deg gcd(f, f') >= 1 resp. >= 2, which matches the
-    vanishing of the discriminant resp. its first subresultant; a vanishing
-    derivative lands the pair in both loci).  Necessary condition: N1 is at
-    most c1 * q^(dimV-1) and N2 at most c2 * q^(dimV-2) where dimV = d - m
-    counts the shift as a free coordinate; the defaults are Bezout-style,
-    c1 = delta * d(d-1) and c2 = delta * (d(d-1))^2 with delta the product
-    of constraint degrees.  Counts on the order of the next-higher power of
-    q are an outright fail.
+    N1 counts pairs (member, a_0) with deg gcd(f, f') >= 1, where f is the
+    shifted polynomial: f has a root of multiplicity >= 2 in the algebraic
+    closure (the discriminant vanishes).  N2 counts pairs with
+    deg gcd(f, f') >= 2 (the first subresultant vanishes too).  A root of
+    multiplicity e adds e - 1 to that degree, or e when the characteristic
+    p divides e, so N2 holds the pairs with two multiple roots or a triple
+    root, and in characteristic p also those with any root whose
+    multiplicity p divides, a double root in characteristic 2 among them.
+    A vanishing derivative lands the pair in both loci.  Necessary
+    condition: N1 is at most c1 * q^(dimV-1) and N2 at most c2 * q^(dimV-2)
+    where dimV = d - m counts the shift as a free coordinate; the defaults
+    are Bezout-style, c1 = delta * d(d-1) and c2 = delta * (d(d-1))^2 with
+    delta the product of constraint degrees.  Counts on the order of the
+    next-higher power of q are an outright fail.
     """
     field = spec.field
     d, m, q = spec.d, spec.m, field.q

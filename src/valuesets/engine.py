@@ -10,11 +10,19 @@ is a linear functional of it:
     S_r (fast path) = sum over (f, a_0) of C(n, r)
     ordered distinct-root tuples = sum of n*(n-1)*...*(n-r+1)
 
+The same sweep carries f'(c) along.  Where f'(c) = 0, c is a multiple root
+of f - f(c), and repeated synthetic division by (T - c) finds its
+multiplicity; the sorted multiplicities of the roots of each such pair
+(f, a_0) are counted in `ScanResult.patterns`.  The hermite and coincident
+tuple counts (see `incidence`) depend only on these multiplicities, so they
+are functionals of the histogram and the patterns too.
+
 All aggregates are exact big integers; averages are exact Fractions.  The
 literal subset-enumeration oracle for S_r survives behind a work budget.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, perm
@@ -50,27 +58,71 @@ def value_set_size(f):
     return count
 
 
-def _member_histogram(field, a_desc, profile):
+def _root_multiplicity(add, mc, coeffs):
+    """Multiplicity of c as a root of the polynomial with coefficients
+    `coeffs` (highest degree first), by repeated synthetic division by
+    (T - c); mc is the mul row of c."""
+    e = 0
+    while len(coeffs) > 1:
+        quo = [coeffs[0]]
+        for coef in coeffs[1:]:
+            quo.append(add[mc[quo[-1]]][coef])
+        if quo.pop():  # the remainder
+            break
+        coeffs = quo
+        e += 1
+    return e
+
+
+def _member_histogram(field, a_desc, profile, patterns):
     """Accumulate one member's root-count histogram into profile.
 
     a_desc is (a_{d-1}, ..., a_1).  hist[v] counts c with f(c) = v, which
     is the root count of f + a_0 at a_0 = -v; adds the histogram's
     n-distribution into profile[n] and returns V(f) = #nonzero entries.
+    Each pair (f, a_0) with a multiple root adds one to patterns[key], key
+    the sorted multiplicities of all F_q-roots of f + a_0.
     """
-    add, mul, _, _ = field.rows()
+    add, mul, neg, _ = field.rows()
     hist = [0] * field.q
-    for mc in mul:
-        # Horner over (1, a_{d-1}, ..., a_1, 0) at the row's point c
+    multiple = {}  # v -> multiplicities >= 2 among the roots of f - v
+    for c, mc in enumerate(mul):
+        # Horner over (1, a_{d-1}, ..., a_1, 0) at the row's point c, with
+        # the derivative's Horner sum carried alongside
         acc = 1
+        der = 0
         for coef in a_desc:
+            der = add[mc[der]][acc]
             acc = add[mc[acc]][coef]
-        hist[mc[acc]] += 1  # constant coefficient of the member is 0
+        der = add[mc[der]][acc]
+        v = mc[acc]  # constant coefficient of the member is 0
+        hist[v] += 1
+        if der == 0:
+            coeffs = [1, *a_desc, neg[v]]
+            multiple.setdefault(v, []).append(_root_multiplicity(add, mc, coeffs))
     vf = 0
     for n in hist:
         profile[n] += 1
         if n:
             vf += 1
+    for v, mults in multiple.items():
+        patterns[tuple(sorted(mults + [1] * (hist[v] - len(mults))))] += 1
     return vf
+
+
+def _hermite_tuples(pattern, r):
+    """Ordered r-tuples of roots with multiplicity for one multiplicity pattern.
+
+    These are the words of length r in which root j occurs at most
+    pattern[j] times, r! * [x^r] prod_j sum_{k <= pattern[j]} x^k / k!.
+    """
+    words = [1] + [0] * r  # words[n]: words of length n over the roots so far
+    for e in pattern:
+        words = [
+            sum(comb(n, k) * words[n - k] for k in range(min(e, n) + 1))
+            for n in range(r + 1)
+        ]
+    return words[r]
 
 
 @dataclass
@@ -81,6 +133,8 @@ class ScanResult:
     member_count: int
     sum_values: int
     profile: list  # profile[n] = #(member, a_0) pairs with n roots, n = 0..d
+    # sorted root multiplicities -> #(member, a_0) pairs with a multiple root
+    patterns: Counter = dataclass_field(default_factory=Counter)
 
     @classmethod
     def empty(cls, d):
@@ -94,6 +148,7 @@ class ScanResult:
             self.member_count + other.member_count,
             self.sum_values + other.sum_values,
             [a + b for a, b in zip(self.profile, other.profile)],
+            self.patterns + other.patterns,
         )
 
     def interpolating_count(self, r):
@@ -108,6 +163,39 @@ class ScanResult:
             raise ParameterRange(f"need r >= 1, got {r}")
         return sum(cnt * perm(n, r) for n, cnt in enumerate(self.profile))
 
+    def hermite_count(self, r):
+        """Ordered r-tuples of roots with multiplicity, summed over (f, a_0).
+
+        A pair whose n roots are all simple contributes perm(n, r); a pair
+        with a multiple root contributes by its multiplicity pattern.
+        """
+        if r < 1:
+            raise ParameterRange(f"need r >= 1, got {r}")
+        simple = list(self.profile)
+        total = 0
+        for pattern, cnt in self.patterns.items():
+            simple[len(pattern)] -= cnt
+            total += cnt * _hermite_tuples(pattern, r)
+        return total + sum(cnt * perm(n, r) for n, cnt in enumerate(simple))
+
+    def coincident_count(self, r):
+        """Hermite r-tuples with a repeated node, summed over (f, a_0).
+
+        Only pairs with a multiple root have any.
+        """
+        if r < 1:
+            raise ParameterRange(f"need r >= 1, got {r}")
+        return sum(
+            cnt * (_hermite_tuples(pattern, r) - perm(len(pattern), r))
+            for pattern, cnt in self.patterns.items()
+        )
+
+    def tuple_profile(self, r_max):
+        """(hermite, coincident) count lists for r = 1..r_max, in the shape
+        `incidence.hermite_profile` returns."""
+        rs = range(1, r_max + 1)
+        return [self.hermite_count(r) for r in rs], [self.coincident_count(r) for r in rs]
+
 
 def scan_family(spec, partition=None):
     """One pass over (a slice of) the family collecting all histogram sums."""
@@ -115,7 +203,9 @@ def scan_family(spec, partition=None):
     field = spec.field
     for member in enumerate_family(spec, partition):
         result.member_count += 1
-        result.sum_values += _member_histogram(field, member.a, result.profile)
+        result.sum_values += _member_histogram(
+            field, member.a, result.profile, result.patterns
+        )
     return result
 
 

@@ -14,7 +14,15 @@ it, together with the inclusion-exclusion and orbit identities of the
 histogram, on every run and raises `IdentityViolation` on a mismatch; the
 CLI, its seed check and `collect` all go through it.
 
-The hermite count walks a DFS over node prefixes.  The state per prefix is
+The hermite and coincident counts of a pair (f, a_0) depend only on the
+multiplicities of the F_q-roots of f + a_0, so the CLI takes them from the
+family scan (`ScanResult.tuple_profile`, fed by the multiplicity patterns
+of the Horner sweep).  `hermite_profile` computes them independently and
+serves as an oracle: the CLI runs it when its cost fits the oracle
+budget, and the seed check and `collect` always run it.
+`check_pattern_counts` compares the two.
+
+`hermite_profile` walks a DFS over node prefixes.  The state per prefix is
 the vector of complete homogeneous sums h_k(nodes); appending a node t
 updates it by h'_k = h_k + t*h'_{k-1}, and the depth-i equation is
 sum_j c_j * h'_{j-i+1} over the coefficients c of the member (monic, so
@@ -154,12 +162,33 @@ def check_identities(scan, star, coinc, r_max, label):
             )
 
 
+def check_pattern_counts(star, coinc, dfs_star, dfs_coinc):
+    """Compare the scan's hermite/coincident count lists with the DFS's.
+
+    The lists hold the counts for r = 1, 2, ...; raises `IdentityViolation`
+    naming the first r where they differ.
+    """
+    for r, pair in enumerate(zip(star, coinc, dfs_star, dfs_coinc), 1):
+        herm, co, dfs_herm, dfs_co = pair
+        if (herm, co) != (dfs_herm, dfs_co):
+            raise IdentityViolation(
+                f"prefix DFS oracle disagrees at r={r}: hermite {dfs_herm}, "
+                f"coincident {dfs_co} != {herm}, {co} from the multiplicity "
+                f"patterns"
+            )
+
+
 def collect(spec, r_max, scan=None, partition=None):
-    """IncidenceCounts for r = 1..r_max, every identity checked first."""
+    """IncidenceCounts for r = 1..r_max, every identity checked first.
+
+    The tuple counts come from the prefix DFS and are checked against the
+    scan's multiplicity patterns as well as the subtraction identity.
+    """
     if scan is None:
         scan = scan_family(spec, partition)
     star, coinc = hermite_profile(spec, r_max, partition=partition)
     check_identities(scan, star, coinc, r_max, repr(spec))
+    check_pattern_counts(*scan.tuple_profile(r_max), star, coinc)
     return [
         IncidenceCounts(r, scan.distinct_tuple_count(r), star[r - 1], coinc[r - 1])
         for r in range(1, r_max + 1)

@@ -10,27 +10,14 @@ from valuesets.bounds import (
     average_error_bound,
     average_error_bound_linear,
     average_error_bound_symmetric,
-    coincident_count_bound,
     constants,
     family_size_bracket,
-    hermite_count_error_bound,
     interp_count_error_bound,
     point_count_error_bound,
-    projective_space_size,
     size_threshold_ok,
     value_set_term_profile,
 )
 from valuesets.errors import ParameterRange
-
-
-def test_projective_space_size():
-    assert projective_space_size(5, 0) == 1
-    assert projective_space_size(2, 3) == 15
-    for q in (2, 3, 7, 11):
-        assert projective_space_size(q, 1) == q + 1
-        assert projective_space_size(q, 4) == sum(q**i for i in range(5))
-    with pytest.raises(ParameterRange):
-        projective_space_size(5, -1)
 
 
 def test_constants_worked_example():
@@ -130,17 +117,6 @@ def test_interp_count_error_bound_monotone_in_degrees():
     b = interp_count_error_bound(5, 1, [2], 2, 11)
     c = interp_count_error_bound(5, 1, [3], 2, 11)
     assert a < b < c
-
-
-def test_hermite_and_coincident_bounds():
-    d, m, q, r = 4, 1, 11, 2
-    c = constants(d, [1], r)
-    lead = c.total_deg_product * (c.total_excess_sum - 2) + 2
-    tail = 14 * c.total_excess_sum**2 * c.total_deg_product**2 + 4 * r * c.deg_product
-    assert hermite_count_error_bound(d, m, [1], r, q) == lead * 3 * q**2 + tail * q**2
-    assert coincident_count_bound(d, m, [1], 1, q) == 0
-    assert coincident_count_bound(d, m, [1], 2, q) == 12 * 1 * q**2
-    assert coincident_count_bound(d, m, [2], 3, q) == 2 * 24 * 3 * q**2
 
 
 def test_log_magnitude_basics():

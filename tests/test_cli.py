@@ -1,8 +1,10 @@
+from collections import Counter
 from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
+from valuesets import cli
 from valuesets.bounds import average_error_bound
 from valuesets.cli import main, run_experiment
 from valuesets.config import build_family, parse_config
@@ -11,6 +13,7 @@ from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import partition_ranges
 from valuesets.ffield import field_new
+from valuesets.incidence import hermite_profile
 from valuesets.report import format_magnitude, report_columns
 
 LINEAR_Q11 = dedent(
@@ -137,6 +140,69 @@ def test_tampered_counts_abort_loudly():
 
     with pytest.raises(IdentityViolation):
         run_experiment(cfg, tamper_hook=bump)
+
+
+def _bump_double_root_pattern(scan):
+    # one more pair with a lone double root: the hermite and coincident
+    # counts move at r = 2 only, the histogram not at all
+    patterns = Counter(scan.patterns)
+    patterns[(2,)] += 1
+    return ScanResult(scan.d, scan.member_count, scan.sum_values, scan.profile, patterns)
+
+
+def test_dfs_oracle_refused_at_budget_zero(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hermite_profile called over budget")
+
+    monkeypatch.setattr(cli, "hermite_profile", refuse)
+    cfg = parse_config(SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0"))
+    report = run_experiment(cfg)
+    assert report.row["gamma_identity_3"] == "ok"
+
+
+def test_dfs_oracle_runs_within_budget(monkeypatch):
+    cfg = parse_config(SMALL_Q7)
+    spec = build_family(cfg)
+    star, _ = scan_family(spec).tuple_profile(3)
+    price = spec.field.q * sum(star[:-1])  # children the DFS tries
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append((args, kwargs))
+        return hermite_profile(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hermite_profile", traced)
+    for budget, ran in ((price - 1, False), (price, True)):
+        calls.clear()
+        cfg.oracle_budget = budget
+        run_experiment(cfg)
+        assert bool(calls) == ran, budget
+    # positional (spec, r_max), as the benchmark's tracer expects
+    ((args, kwargs),) = calls
+    assert args[1:] == (3,) and kwargs == {}
+
+
+def test_dfs_oracle_catches_tampered_patterns():
+    cfg = parse_config(SMALL_Q7)
+    with pytest.raises(IdentityViolation, match="prefix DFS oracle disagrees at r=2"):
+        run_experiment(cfg, tamper_hook=_bump_double_root_pattern)
+    # the histogram identities alone cannot see it
+    cfg.oracle_budget = 0
+    run_experiment(cfg, tamper_hook=_bump_double_root_pattern)
+
+
+def test_main_exits_3_on_tampered_patterns(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "scan_family", lambda *a: _bump_double_root_pattern(scan_family(*a))
+    )
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL_Q7, encoding="utf-8")
+    assert main(["run", str(cfg_path), "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "prefix DFS oracle disagrees at r=2" in err
+    assert "Traceback" not in err
+    # the seed check compares the same counts with the DFS
+    assert main(["--seed-check"]) == 3
 
 
 def test_empty_family_raises():

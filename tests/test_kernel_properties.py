@@ -6,18 +6,28 @@ constraints of degree at most two.  Each kernel, which reads the field's
 lookup rows, is compared with an oracle that goes through the `Field`
 methods and `UniPoly`:
 
-- the histogram scan against value sets and root counts of each f + a_0;
-- the prefix DFS (`hermite_profile`) against the division oracle for
-  r <= 3, wherever the oracle's cost fits its budget;
+- the histogram scan against value sets and root counts of each f + a_0,
+  and its multiplicity patterns against repeated division by (T - c);
+- the scan's hermite and coincident counts against the prefix DFS
+  (`hermite_profile`) for r <= d, and slice scans merged against the full
+  scan;
+- the prefix DFS against the division oracle for r <= 3, wherever the
+  oracle's cost fits its budget;
 - the per-member repeated-root counts against `poly_gcd(f + a_0, f')`.
+
+Some draws take d divisible by p and may add the constraints a_k = 0 for
+every k prime to p, so that f' vanishes identically on the whole family.
 """
+
+from collections import Counter
+from functools import reduce
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuesets.diagnostics import _repeated_root_profile
 from valuesets.engine import scan_family, value_set_size
-from valuesets.families import FamilySpec, filter_family
+from valuesets.families import FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import count_hermite_tuples_oracle, hermite_profile
 from valuesets.multipoly import MultiPoly
@@ -29,15 +39,27 @@ MAX_DEGREE = 6
 ORACLE_BUDGET = 8000  # q^(r+1) * |A| divisibility tests per oracle call
 
 
-@st.composite
-def families(draw):
-    p, s = draw(st.sampled_from(FIELDS))
-    field = field_new(p, s)
-    q = field.q
+def _d_max(q):
     d_max = 2
     while d_max < MAX_DEGREE and q ** d_max <= MAX_CANDIDATES:
         d_max += 1
-    d = d_max - draw(st.integers(0, d_max - 2))  # lean towards the largest d
+    return d_max
+
+
+# fields with a multiple of p in [2, d_max]
+WILD_FIELDS = [(p, s) for p, s in FIELDS if p <= _d_max(p**s)]
+
+
+@st.composite
+def families(draw, p_divides_d=False):
+    p, s = draw(st.sampled_from(WILD_FIELDS if p_divides_d else FIELDS))
+    field = field_new(p, s)
+    q = field.q
+    d_max = _d_max(q)
+    if p_divides_d:
+        d = draw(st.sampled_from(range(p, d_max + 1, p)))
+    else:
+        d = d_max - draw(st.integers(0, d_max - 2))  # lean towards the largest d
     nvars = d - 1
     exps = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(
         lambda e: sum(e) <= 2
@@ -48,15 +70,35 @@ def families(draw):
         g = MultiPoly(field, nvars, dict(draw(st.lists(term, min_size=1, max_size=3))))
         if not g.is_zero():
             constraints.append(g)
+    if p_divides_d and draw(st.booleans()):
+        # a_k = 0 for p not dividing k (variable d-1-k): f' = 0 on every member
+        for k in range(1, d):
+            if k % p:
+                exp = [0] * nvars
+                exp[d - 1 - k] = 1
+                constraints.append(MultiPoly(field, nvars, {tuple(exp): 1}))
     return FamilySpec(field, d, len(constraints), constraints)
+
+
+any_families = st.booleans().flatmap(families)
 
 
 def _member_poly(field, member, a0=0):
     return UniPoly(field, [a0] + list(reversed(member.a)) + [1])
 
 
+def _multiplicity(f, c):
+    linear = UniPoly.from_roots(f.field, [c])
+    e = 0
+    while True:
+        quo, rem = f.divmod(linear)
+        if not rem.is_zero():
+            return e
+        f, e = quo, e + 1
+
+
 @settings(max_examples=60, deadline=None)
-@given(families())
+@given(any_families)
 def test_histogram_scan_matches_value_sets(spec):
     field = spec.field
     members = list(filter_family(spec))
@@ -66,14 +108,44 @@ def test_histogram_scan_matches_value_sets(spec):
         value_set_size(_member_poly(field, member)) for member in members
     )
     profile = [0] * (spec.d + 1)
+    patterns = Counter()
     for member in members:
         for a0 in field.indices():
-            profile[len(_member_poly(field, member, a0).roots())] += 1
+            f = _member_poly(field, member, a0)
+            roots = f.roots()
+            profile[len(roots)] += 1
+            mults = sorted(_multiplicity(f, c) for c in roots)
+            if any(e > 1 for e in mults):
+                patterns[tuple(mults)] += 1
     assert scan.profile == profile
+    assert scan.patterns == patterns
 
 
 @settings(max_examples=60, deadline=None)
-@given(families())
+@given(any_families)
+def test_pattern_counts_match_prefix_dfs(spec):
+    scan = scan_family(spec)
+    star, coinc = hermite_profile(spec, spec.d)
+    assert scan.tuple_profile(spec.d) == (star, coinc)
+    for r in range(1, spec.d + 1):
+        assert scan.hermite_count(r) == star[r - 1]
+        assert scan.coincident_count(r) == coinc[r - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_families, st.integers(2, 4))
+def test_slice_scans_merge_to_full_scan(spec, parts):
+    full = scan_family(spec)
+    slices = [
+        scan_family(spec, rng) for rng in partition_ranges(spec.space_size(), parts)
+    ]
+    merged = reduce(lambda a, b: a.merge(b), slices)
+    assert merged.patterns == full.patterns
+    assert merged == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_families)
 def test_prefix_dfs_matches_division_oracle(spec):
     q = spec.field.q
     members = scan_family(spec).member_count
@@ -86,7 +158,7 @@ def test_prefix_dfs_matches_division_oracle(spec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(families())
+@given(any_families)
 def test_repeated_root_counts_match_gcd(spec):
     field, d = spec.field, spec.d
     for member in filter_family(spec):
