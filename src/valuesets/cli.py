@@ -1,13 +1,13 @@
 """Config-driven experiment runner.
 
 Pipeline per run: build the configured field and family, scan the family
-for the root-count histogram and the multiplicity patterns (optionally
-partitioned across worker processes), take the hermite and coincident tuple
-counts from the scan, check every exact cross-identity (these are theorems,
-so a mismatch aborts the run), run the oracles that fit in the configured
-budget (the prefix-equation DFS among them), evaluate the headline
-allowance, attach diagnostics, and emit a CSV row plus a human-readable
-summary.
+for the root-count histogram, the multiplicity patterns and the
+repeated-root loci (optionally partitioned across worker processes), take
+the hermite and coincident tuple counts from the scan, check every exact
+cross-identity (these are theorems, so a mismatch aborts the run), run the
+oracles that fit in the configured budget (the prefix-equation DFS among
+them), evaluate the headline allowance, attach diagnostics (the loci check
+reads the scan), and emit a CSV row plus a human-readable summary.
 
 Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.
@@ -45,6 +45,7 @@ from .ffield import field_new
 from .incidence import (
     check_identities,
     check_pattern_counts,
+    collect,
     count_distinct_tuples_oracle,
     count_hermite_tuples_oracle,
     hermite_profile,
@@ -60,7 +61,7 @@ from .report import (
 
 
 def _scan_slice(args):
-    """Worker body: histogram and multiplicity patterns for one index slice."""
+    """Worker body: the family scan of one index slice."""
     spec, index, index_range = args
     return index, scan_family(spec, index_range)
 
@@ -82,12 +83,13 @@ def _oracle_stages(spec, scan, star, coinc, r_max, budget):
     """Independent computations, skipped over budget.
 
     Each oracle checks its cost against the budget before it enumerates
-    anything: the prefix DFS from the scan's hermite counts (it tries q
-    children at each node of depth below r_max), the literal enumerations
-    from the scan's member count.  The DFS adds no summary line, whether it
-    runs or not; each literal enumeration adds one note.
+    anything: the prefix DFS from the scan's hermite counts (star_1 = q*|A|
+    start nodes, and q children at each node of depth below r_max), the
+    literal enumerations from the scan's member count.  The DFS adds no
+    summary line, whether it runs or not; each literal enumeration adds one
+    note.
     """
-    dfs_cost = spec.field.q * sum(star[:-1])
+    dfs_cost = star[0] + spec.field.q * sum(star[:-1])
     if dfs_cost <= budget:
         dfs_star, dfs_coinc = hermite_profile(spec, r_max)
         check_pattern_counts(star, coinc, dfs_star, dfs_coinc)
@@ -164,7 +166,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     satisfied = bound.covers(deviation)
     applicable = average_bound_applicable(d, m, degrees, q)
 
-    diagnostics = run_all(spec, tuple(config.diag_extensions))
+    diagnostics = run_all(spec, tuple(config.diag_extensions), scan=scan)
 
     columns = report_columns(r_max)
     row = {
@@ -262,9 +264,7 @@ def seed_check() -> int:
         scan = scan_family(spec)
         if scan.interpolating_count(1) != scan.member_count * field.q:
             raise IdentityViolation("S_1 != |A| * q")
-        star, coinc = hermite_profile(spec, 3)
-        check_pattern_counts(*scan.tuple_profile(3), star, coinc)
-        check_identities(scan, star, coinc, 3, "seed A2 over F_5")
+        collect(spec, 3, scan=scan)
     except IdentityViolation as exc:
         print(f"seed check failed: {exc}", file=sys.stderr)
         return 3

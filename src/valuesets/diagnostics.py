@@ -18,7 +18,8 @@ points over small extensions:
   deg gcd(f, f') >= 1 (a repeated root) resp. >= 2 (two repeated roots, a
   triple root, or a root whose multiplicity the characteristic divides)
   should have codimension one resp. two inside the family; counts N1, N2 are
-  compared against Bezout-style allowances.
+  compared against Bezout-style allowances.  The counts come from the family
+  scan (`engine.scan_family`); only the regularity checks enumerate here.
 
 A report status is one of `pass-necessary-conditions`, `fail`, or
 `inconclusive`; a pass never claims more than the phrase says, and the
@@ -33,8 +34,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .bounds import family_size_bracket
+from .engine import scan_family
 from .families import FamilySpec, enumerate_family
-from .ffield import Field, embedding_table, field_new
+from .ffield import embedding_table, field_new
 from .linalg import rank
 
 PASS = "pass-necessary-conditions"
@@ -143,9 +145,8 @@ def _regularity_scan(spec: FamilySpec, extension_degrees, point_budget, c):
     return per_k, fail_reason, witness
 
 
-def _regularity_report(label, spec, extension_degrees, point_budget, c):
-    if c is None:
-        c = _degree_product(spec.degrees) ** 2
+def _regularity_report(label, spec, extension_degrees, point_budget):
+    c = _degree_product(spec.degrees) ** 2
     per_k, fail_reason, witness = _regularity_scan(
         spec, extension_degrees, point_budget, c
     )
@@ -183,22 +184,20 @@ def check_regularity(
     spec: FamilySpec,
     extension_degrees=(1, 2),
     point_budget: int = DEFAULT_POINT_BUDGET,
-    c: int | None = None,
 ) -> DiagnosticReport:
     """Rank and size checks on the constraint variety over small extensions.
 
-    The allowance constant c defaults to the squared product of constraint
-    degrees, a Bezout-style heuristic for the degree of the locus where the
-    Jacobian drops rank.  Pass it explicitly to tighten or relax the check.
+    The allowance constant c is the squared product of constraint degrees,
+    a Bezout-style heuristic for the degree of the locus where the Jacobian
+    drops rank.
     """
-    return _regularity_report("regularity", spec, extension_degrees, point_budget, c)
+    return _regularity_report("regularity", spec, extension_degrees, point_budget)
 
 
 def check_regularity_at_infinity(
     spec: FamilySpec,
     extension_degrees=(1, 2),
     point_budget: int = DEFAULT_POINT_BUDGET,
-    c: int | None = None,
 ) -> DiagnosticReport:
     """Same checks on the highest homogeneous parts of the constraints.
 
@@ -213,74 +212,11 @@ def check_regularity_at_infinity(
         kind=spec.kind,
     )
     return _regularity_report(
-        "regularity-at-infinity", top, extension_degrees, point_budget, c
+        "regularity-at-infinity", top, extension_degrees, point_budget
     )
 
 
-def _repeated_root_profile(field: Field, tail_desc, d):
-    """Per-shift gcd degrees for one member.
-
-    tail_desc is (a_{d-1}, ..., a_1).  Returns (n1, n2, first1, first2)
-    where n1 counts shifts a_0 with a repeated root, n2 those with a root of
-    multiplicity at least three (equivalently deg gcd(f, f') >= 2), and the
-    firsts are the smallest such shifts (or None).
-    """
-    rows = field.rows()
-    mul = rows[1]
-    f = [0] + list(reversed(tail_desc)) + [1]
-    deriv = [mul[field.scalar(j)][f[j]] for j in range(1, d + 1)]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
-    if not deriv:
-        return field.q, field.q, 0, 0
-    n1 = n2 = 0
-    first1 = first2 = None
-    for a0 in range(field.q):
-        f[0] = a0
-        g = _gcd_degree(rows, f, deriv)
-        if g >= 1:
-            n1 += 1
-            if first1 is None:
-                first1 = a0
-            if g >= 2:
-                n2 += 1
-                if first2 is None:
-                    first2 = a0
-    return n1, n2, first1, first2
-
-
-def _gcd_degree(rows, a, b):
-    """Degree of gcd of two ascending coefficient-index lists, through the
-    field's lookup rows; b is nonzero with a nonzero last entry.
-
-    `unipoly.poly_gcd` is the reference implementation that tests compare
-    against.
-    """
-    add, mul, neg, inv = rows
-    a = a[:]
-    b = b[:]
-    while b:
-        db = len(b) - 1
-        scale = mul[inv[b[-1]]]
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                minus_c = mul[neg[scale[c]]]
-                off = i - db
-                for j in range(db):
-                    a[off + j] = add[a[off + j]][minus_c[b[j]]]
-                a[i] = 0
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def check_discriminant_loci(
-    spec: FamilySpec,
-    c1: int | None = None,
-    c2: int | None = None,
-) -> DiagnosticReport:
+def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
     """Count members-with-shift whose polynomial has a repeated root.
 
     N1 counts pairs (member, a_0) with deg gcd(f, f') >= 1, where f is the
@@ -293,38 +229,23 @@ def check_discriminant_loci(
     multiplicity p divides, a double root in characteristic 2 among them.
     A vanishing derivative lands the pair in both loci.  Necessary
     condition: N1 is at most c1 * q^(dimV-1) and N2 at most c2 * q^(dimV-2)
-    where dimV = d - m counts the shift as a free coordinate; the defaults
+    where dimV = d - m counts the shift as a free coordinate; the constants
     are Bezout-style, c1 = delta * d(d-1) and c2 = delta * (d(d-1))^2 with
     delta the product of constraint degrees.  Counts on the order of the
     next-higher power of q are an outright fail.
+    The counts and witnesses are read from `scan`, by default a new scan.
     """
-    field = spec.field
-    d, m, q = spec.d, spec.m, field.q
+    if scan is None:
+        scan = scan_family(spec)
+    d, m, q = spec.d, spec.m, spec.field.q
     dim_v = d - m
     delta = _degree_product(spec.degrees)
     disc_deg = d * (d - 1)
-    if c1 is None:
-        c1 = delta * disc_deg
-    if c2 is None:
-        c2 = delta * disc_deg**2
-    n1 = n2 = 0
-    members = 0
-    deriv_zero_pairs = 0
-    witness1 = witness2 = None
-    for member in enumerate_family(spec):
-        members += 1
-        m1, m2, f1, f2 = _repeated_root_profile(field, member.a, d)
-        if m1 == q and m2 == q:
-            # shift-independent degeneracy: derivative vanished identically
-            asc = [0] + list(reversed(member.a)) + [1]
-            if all(field.scalar(j) == 0 or asc[j] == 0 for j in range(1, d + 1)):
-                deriv_zero_pairs += q
-        n1 += m1
-        n2 += m2
-        if witness1 is None and f1 is not None:
-            witness1 = tuple(member.a) + (f1,)
-        if witness2 is None and f2 is not None:
-            witness2 = tuple(member.a) + (f2,)
+    c1 = delta * disc_deg
+    c2 = delta * disc_deg**2
+    members = scan.member_count
+    n1, n2, deriv_zero_pairs = scan.loci
+    witness1, witness2 = scan.witnesses
     evidence = {
         "q": q,
         "members": members,
@@ -390,10 +311,12 @@ def run_all(
     spec: FamilySpec,
     extension_degrees=(1, 2),
     point_budget: int = DEFAULT_POINT_BUDGET,
+    scan=None,
 ) -> list[DiagnosticReport]:
-    """The three checks in a fixed order, as consumed by the CLI."""
+    """The three checks in a fixed order, as consumed by the CLI, which
+    passes its family scan on to `check_discriminant_loci`."""
     return [
         check_regularity(spec, extension_degrees, point_budget),
         check_regularity_at_infinity(spec, extension_degrees, point_budget),
-        check_discriminant_loci(spec),
+        check_discriminant_loci(spec, scan),
     ]

@@ -17,6 +17,10 @@ multiplicity; the sorted multiplicities of the roots of each such pair
 tuple counts (see `incidence`) depend only on these multiplicities, so they
 are functionals of the histogram and the patterns too.
 
+The scan also counts the repeated-root loci (deg gcd(f + a_0, f') >= 1, 2)
+that `diagnostics.check_discriminant_loci` reads, so it is the one
+per-member pass over the family.
+
 All aggregates are exact big integers; averages are exact Fractions.  The
 literal subset-enumeration oracle for S_r survives behind a work budget.
 """
@@ -110,6 +114,59 @@ def _member_histogram(field, a_desc, profile, patterns):
     return vf
 
 
+def _repeated_root_profile(field, a_desc, loci, witnesses):
+    """Accumulate one member's repeated-root pairs.
+
+    a_desc is (a_{d-1}, ..., a_1).  Adds to loci[0] resp. loci[1] the
+    shifts a_0 with deg gcd(f + a_0, f') >= 1 resp. >= 2, and q to loci[2]
+    when f' vanishes identically; an empty witnesses[i] takes
+    (*a_desc, a_0) for the smallest a_0 counted in loci[i].
+    """
+    rows = field.rows()
+    mul = rows[1]
+    f = [0] + list(reversed(a_desc)) + [1]
+    d = len(f) - 1
+    deriv = [mul[field.scalar(j)][f[j]] for j in range(1, d + 1)]
+    while deriv and deriv[-1] == 0:
+        deriv.pop()
+    if not deriv:  # gcd(f + a_0, 0) = f + a_0, of degree d >= 2
+        loci[2] += field.q
+    for a0 in range(field.q):
+        f[0] = a0
+        g = _gcd_degree(rows, f, deriv) if deriv else d
+        for i in range(min(g, 2)):
+            loci[i] += 1
+            if witnesses[i] is None:
+                witnesses[i] = (*a_desc, a0)
+
+
+def _gcd_degree(rows, a, b):
+    """Degree of gcd of two ascending coefficient-index lists, through the
+    field's lookup rows; b is nonzero with a nonzero last entry.
+
+    `unipoly.poly_gcd` is the reference implementation that tests compare
+    against.
+    """
+    add, mul, neg, inv = rows
+    a = a[:]
+    b = b[:]
+    while b:
+        db = len(b) - 1
+        scale = mul[inv[b[-1]]]
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i]
+            if c:
+                minus_c = mul[neg[scale[c]]]
+                off = i - db
+                for j in range(db):
+                    a[off + j] = add[a[off + j]][minus_c[b[j]]]
+                a[i] = 0
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def _hermite_tuples(pattern, r):
     """Ordered r-tuples of roots with multiplicity for one multiplicity pattern.
 
@@ -135,12 +192,17 @@ class ScanResult:
     profile: list  # profile[n] = #(member, a_0) pairs with n roots, n = 0..d
     # sorted root multiplicities -> #(member, a_0) pairs with a multiple root
     patterns: Counter = dataclass_field(default_factory=Counter)
+    # #(member, a_0) pairs with deg gcd(f + a_0, f') >= 1, >= 2, f' = 0
+    loci: list = dataclass_field(default_factory=lambda: [0, 0, 0])
+    # first (a_{d-1}, ..., a_1, a_0) in the first two loci, in member order
+    witnesses: list = dataclass_field(default_factory=lambda: [None, None])
 
     @classmethod
     def empty(cls, d):
         return cls(d, 0, 0, [0] * (d + 1))
 
     def merge(self, other):
+        """The scan of this slice followed by `other`'s slice."""
         if self.d != other.d:
             raise ParameterRange("merging scans of different degree")
         return ScanResult(
@@ -149,6 +211,8 @@ class ScanResult:
             self.sum_values + other.sum_values,
             [a + b for a, b in zip(self.profile, other.profile)],
             self.patterns + other.patterns,
+            [a + b for a, b in zip(self.loci, other.loci)],
+            [w if w is not None else v for w, v in zip(self.witnesses, other.witnesses)],
         )
 
     def interpolating_count(self, r):
@@ -198,7 +262,8 @@ class ScanResult:
 
 
 def scan_family(spec, partition=None):
-    """One pass over (a slice of) the family collecting all histogram sums."""
+    """One pass over (a slice of) the family collecting the histogram sums,
+    the multiplicity patterns and the repeated-root loci."""
     result = ScanResult.empty(spec.d)
     field = spec.field
     for member in enumerate_family(spec, partition):
@@ -206,6 +271,7 @@ def scan_family(spec, partition=None):
         result.sum_values += _member_histogram(
             field, member.a, result.profile, result.patterns
         )
+        _repeated_root_profile(field, member.a, result.loci, result.witnesses)
     return result
 
 

@@ -20,7 +20,8 @@ family scan (`ScanResult.tuple_profile`, fed by the multiplicity patterns
 of the Horner sweep).  `hermite_profile` computes them independently and
 serves as an oracle: the CLI runs it when its cost fits the oracle
 budget, and the seed check and `collect` always run it.
-`check_pattern_counts` compares the two.
+`check_pattern_counts` compares the two.  Being an oracle, the DFS is the
+one per-member pass over a family outside `engine.scan_family`.
 
 `hermite_profile` walks a DFS over node prefixes.  The state per prefix is
 the vector of complete homogeneous sums h_k(nodes); appending a node t
@@ -97,7 +98,7 @@ def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
         descend(h1, (t,), False, 1)
 
 
-def hermite_profile(spec, r_max, partition=None, order=None):
+def hermite_profile(spec, r_max, order=None):
     """(hermite, coincident) count lists for tuple lengths 1..r_max.
 
     `order` overrides the node candidate sequence; any permutation of the
@@ -112,7 +113,7 @@ def hermite_profile(spec, r_max, partition=None, order=None):
     add, mul, _, _ = field.rows()
     star = [0] * (r_max + 1)
     coinc = [0] * (r_max + 1)
-    for member in enumerate_family(spec, partition):
+    for member in enumerate_family(spec):
         coeffs = [0] + list(reversed(member.a)) + [1]
         _profile_member(add, mul, coeffs, r_max, star, coinc, order)
     return star[1:], coinc[1:]
@@ -178,15 +179,15 @@ def check_pattern_counts(star, coinc, dfs_star, dfs_coinc):
             )
 
 
-def collect(spec, r_max, scan=None, partition=None):
+def collect(spec, r_max, scan=None):
     """IncidenceCounts for r = 1..r_max, every identity checked first.
 
     The tuple counts come from the prefix DFS and are checked against the
     scan's multiplicity patterns as well as the subtraction identity.
     """
     if scan is None:
-        scan = scan_family(spec, partition)
-    star, coinc = hermite_profile(spec, r_max, partition=partition)
+        scan = scan_family(spec)
+    star, coinc = hermite_profile(spec, r_max)
     check_identities(scan, star, coinc, r_max, repr(spec))
     check_pattern_counts(*scan.tuple_profile(r_max), star, coinc)
     return [

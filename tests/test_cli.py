@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from textwrap import dedent
 
@@ -8,7 +9,7 @@ from valuesets import cli
 from valuesets.bounds import average_error_bound
 from valuesets.cli import main, run_experiment
 from valuesets.config import build_family, parse_config
-from valuesets.engine import ScanResult, scan_family
+from valuesets.engine import scan_family
 from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import partition_ranges
@@ -130,13 +131,51 @@ def test_pinned_family_workers_balanced_and_identical():
         assert max(counts) - min(counts) <= 1
 
 
+LATE_WITNESS_F4 = dedent(
+    """\
+    [field]
+    p = 2
+    s = 2
+
+    [family]
+    kind = custom
+    d = 3
+    m = 1
+    forms = A2^2 + A2 + 1
+
+    [run]
+    r_max = 3
+    oracle_budget = 0
+    diag_extensions = 1
+    """
+)
+
+
+def test_loci_witness_past_first_slice_workers_identical():
+    # members have a2 in {2, 3}, the upper half of the 16 candidates, and
+    # every member has a repeated-root shift: the first worker slice holds
+    # no witness, and at workers 3 both later slices hold one
+    spec = build_family(parse_config(LATE_WITNESS_F4))
+    first = scan_family(spec, partition_ranges(spec.space_size(), 2)[0])
+    assert first.witnesses == [None, None]
+    summaries = []
+    for workers in (1, 2, 3):
+        cfg = parse_config(LATE_WITNESS_F4)
+        cfg.workers = workers
+        summaries.append(run_experiment(cfg).to_summary())
+    assert "[discriminant-loci] fail" in summaries[0]
+    assert "    witness = (2, 0, 0)" in summaries[0]
+    assert summaries[1] == summaries[0]
+    assert summaries[2] == summaries[0]
+
+
 def test_tampered_counts_abort_loudly():
     cfg = parse_config(SMALL_Q7)
 
     def bump(scan):
         profile = list(scan.profile)
         profile[1] += 1
-        return ScanResult(scan.d, scan.member_count, scan.sum_values, profile)
+        return replace(scan, profile=profile)
 
     with pytest.raises(IdentityViolation):
         run_experiment(cfg, tamper_hook=bump)
@@ -147,7 +186,7 @@ def _bump_double_root_pattern(scan):
     # counts move at r = 2 only, the histogram not at all
     patterns = Counter(scan.patterns)
     patterns[(2,)] += 1
-    return ScanResult(scan.d, scan.member_count, scan.sum_values, scan.profile, patterns)
+    return replace(scan, patterns=patterns)
 
 
 def test_dfs_oracle_refused_at_budget_zero(monkeypatch):
@@ -155,16 +194,20 @@ def test_dfs_oracle_refused_at_budget_zero(monkeypatch):
         raise AssertionError("hermite_profile called over budget")
 
     monkeypatch.setattr(cli, "hermite_profile", refuse)
-    cfg = parse_config(SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0"))
-    report = run_experiment(cfg)
-    assert report.row["gamma_identity_3"] == "ok"
+    zero_budget = SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0")
+    # at r_max = 1 the DFS tries no children, but still q start nodes per member
+    for r_max in (3, 1):
+        cfg = parse_config(zero_budget.replace("r_max = 3", f"r_max = {r_max}"))
+        report = run_experiment(cfg)
+        assert report.row[f"gamma_identity_{r_max}"] == "ok"
 
 
 def test_dfs_oracle_runs_within_budget(monkeypatch):
     cfg = parse_config(SMALL_Q7)
     spec = build_family(cfg)
     star, _ = scan_family(spec).tuple_profile(3)
-    price = spec.field.q * sum(star[:-1])  # children the DFS tries
+    # the q*|A| = star_1 start nodes and the children the DFS tries
+    price = star[0] + spec.field.q * sum(star[:-1])
     calls = []
 
     def traced(*args, **kwargs):

@@ -9,6 +9,7 @@ from valuesets.diagnostics import (
     check_regularity_at_infinity,
     run_all,
 )
+from valuesets.engine import scan_family
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import FamilySpec, enumerate_family, linear_family
 from valuesets.ffield import field_new
@@ -127,6 +128,20 @@ def test_char2_family_with_vanishing_derivative_fails_loci_check():
     assert rep.evidence["n2"] == 64
     assert rep.evidence["derivative_zero_pairs"] == 64
     assert rep.witness is not None
+
+
+def test_derivative_zero_pairs_not_inferred_from_full_loci():
+    # over F_2 with d = 5 the member a = (0, 1, 1, 0), f = T^5 + T^3 + T^2,
+    # has f' = T^2 (T + 1)^2 != 0, yet both of its shifts lie in N1 and N2
+    f2 = field_new(2)
+    spec = spec_of(f2, 5, ["A4", "A3 - 1", "A2 - 1", "A1"])
+    scan = scan_family(spec)
+    assert scan.member_count == 1
+    assert scan.loci == [2, 2, 0]
+    assert scan.witnesses == [(0, 1, 1, 0, 0)] * 2
+    rep = check_discriminant_loci(spec, scan)
+    assert (rep.evidence["n1"], rep.evidence["n2"]) == (2, 2)
+    assert rep.evidence["derivative_zero_pairs"] == 0
 
 
 @pytest.mark.parametrize("q", [11, 13])

@@ -126,15 +126,6 @@ def test_node_order_invariance():
             assert hermite_profile(spec, spec.d, order=order) == base
 
 
-def test_partitioned_profile_sums():
-    spec = quad_spec(F5, 4)
-    full_star, full_coinc = hermite_profile(spec, 3)
-    lo_star, lo_coinc = hermite_profile(spec, 3, partition=(0, 60))
-    hi_star, hi_coinc = hermite_profile(spec, 3, partition=(60, 125))
-    assert [a + b for a, b in zip(lo_star, hi_star)] == full_star
-    assert [a + b for a, b in zip(lo_coinc, hi_coinc)] == full_coinc
-
-
 def test_collect_rejects_tampered_scan():
     spec = spec_a2_f5()
     scan = scan_family(spec)

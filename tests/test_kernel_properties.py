@@ -13,7 +13,8 @@ methods and `UniPoly`:
   scan;
 - the prefix DFS against the division oracle for r <= 3, wherever the
   oracle's cost fits its budget;
-- the per-member repeated-root counts against `poly_gcd(f + a_0, f')`.
+- the per-member repeated-root counts, and the scan's loci counts and
+  first witnesses, against `poly_gcd(f + a_0, f')`.
 
 Some draws take d divisible by p and may add the constraints a_k = 0 for
 every k prime to p, so that f' vanishes identically on the whole family.
@@ -25,8 +26,7 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valuesets.diagnostics import _repeated_root_profile
-from valuesets.engine import scan_family, value_set_size
+from valuesets.engine import _repeated_root_profile, scan_family, value_set_size
 from valuesets.families import FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import count_hermite_tuples_oracle, hermite_profile
@@ -157,20 +157,41 @@ def test_prefix_dfs_matches_division_oracle(spec):
             ), (spec, r)
 
 
+def _gcd_loci(field, member):
+    """One member's [n1, n2, zero] loci counts and first witnesses by
+    `poly_gcd`, in the shape `_repeated_root_profile` accumulates."""
+    deriv = _member_poly(field, member).derivative()
+    loci = [0, 0, field.q if deriv.is_zero() else 0]
+    witnesses = [None, None]
+    for a0 in field.indices():
+        g = poly_gcd(_member_poly(field, member, a0), deriv).degree
+        for i in range(2):
+            if g > i:
+                loci[i] += 1
+                if witnesses[i] is None:
+                    witnesses[i] = (*member.a, a0)
+    return loci, witnesses
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_families)
 def test_repeated_root_counts_match_gcd(spec):
-    field, d = spec.field, spec.d
+    field = spec.field
     for member in filter_family(spec):
-        deriv = _member_poly(field, member).derivative()
-        n1 = n2 = 0
-        first1 = first2 = None
-        for a0 in field.indices():
-            g = poly_gcd(_member_poly(field, member, a0), deriv).degree
-            if g >= 1:
-                n1 += 1
-                first1 = a0 if first1 is None else first1
-            if g >= 2:
-                n2 += 1
-                first2 = a0 if first2 is None else first2
-        assert _repeated_root_profile(field, member.a, d) == (n1, n2, first1, first2)
+        loci, witnesses = [0, 0, 0], [None, None]
+        _repeated_root_profile(field, member.a, loci, witnesses)
+        assert (loci, witnesses) == _gcd_loci(field, member)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_families)
+def test_scan_loci_match_gcd(spec):
+    # per-member references summed in filter order, earliest witness kept
+    loci, witnesses = [0, 0, 0], [None, None]
+    for member in filter_family(spec):
+        counts, firsts = _gcd_loci(spec.field, member)
+        loci = [a + b for a, b in zip(loci, counts)]
+        witnesses = [w if w is not None else f for w, f in zip(witnesses, firsts)]
+    scan = scan_family(spec)
+    assert scan.loci == loci
+    assert scan.witnesses == witnesses
