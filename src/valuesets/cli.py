@@ -10,12 +10,14 @@ them), evaluate the headline allowance, attach diagnostics (the loci check
 reads the scan), and emit a CSV row plus a human-readable summary.
 
 Worker processes only return partial sums; the coordinator merges them in
-slice order, so results are identical for any worker count.
+slice order, so results are identical for any worker count.  `workers` sets
+the number of slices; the pool holds at most one process per CPU.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -71,7 +73,7 @@ def _gather(spec, workers):
         return scan_family(spec)
     ranges = partition_ranges(spec.space_size(), workers)
     jobs = [(spec, i, rng) for i, rng in enumerate(ranges)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         parts = sorted(pool.map(_scan_slice, jobs), key=lambda t: t[0])
     scan = ScanResult.empty(spec.d)
     for _, part in parts:

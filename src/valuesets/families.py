@@ -12,13 +12,20 @@ coordinate in field index order.
   vectors as an odometer and keeps those on which every constraint
   vanishes.  It serves any family, and the oracles use it as the
   independent reference for the direct path.
-- A linear family built by `linear_family` carries the solution of its
-  rank-m system, reduced with pivots taken from the right: each pivot
-  coordinate is an affine function of free coordinates to its left.
-  `enumerate_family` then walks only the q^(d-1-m) assignments of the free
-  coordinates, as an odometer with a_1 fastest, and fills in the pivots.
-  Two members first differ at a free coordinate (the pivots are determined
-  by the free coordinates before them), so this is the filter's order.
+- Every `FamilySpec` tries, once at build time, to solve its constraints
+  from the right: the rightmost coordinate A_j that a remaining constraint
+  involves is solved from a constraint c*A_j + h with c a nonzero constant
+  and A_j absent from h, and the rule A_j = -h/c is substituted into the
+  other constraints.  Each rule then reads only coordinates to its left.
+  A linear system of full rank always solves this way; so do graph forms
+  such as A2 + g(A4, A3) or A2 - A3^2.  A solved family is walked directly
+  over the q^(free) assignments of its free coordinates, as an odometer
+  with a_1 fastest, and the pivots are filled in ascending order.  Two
+  members first differ at a free coordinate (each pivot is determined by
+  the coordinates before it), so this is the filter's order.  Anything else
+  stays on the filter: a constraint that reduces to a constant, or a step
+  where no constraint holds its rightmost coordinate in one clean term (a
+  rule would have to read a coordinate to its right).
 
 `FamilySpec.space_size()` is the size of the index space `enumerate_family`
 walks, and a (lo, hi) slice of it is a clean unit of parallel work.
@@ -33,8 +40,7 @@ from .errors import (
     RankDeficient,
     ZeroPolynomial,
 )
-from .linalg import echelon_from_right
-from .multipoly import elementary_symmetric, weighted_compose
+from .multipoly import MultiPoly, elementary_symmetric, weighted_compose
 
 
 class FamilyMember(NamedTuple):
@@ -64,14 +70,14 @@ class FamilySpec:
         self.constraints = tuple(constraints)
         self.degrees = tuple(g.total_degree for g in constraints)
         self.kind = kind
-        # (free, rules) from linear_family; only a solved spec is walked directly.
-        self.solution = None
+        # (free, rules) when the constraints solve from the right, else None
+        self.solution = _solve(field, d - 1, self.constraints)
 
     def space_size(self):
         """Size of the index space `enumerate_family` walks.
 
-        q^(d-1-m), the member count, for a linear family solved by
-        `linear_family`; otherwise q^(d-1), the candidate count.
+        q^(free coordinates), the member count, for a solved family;
+        otherwise q^(d-1), the candidate count.
         """
         free = self.d - 1 if self.solution is None else len(self.solution[0])
         return self.field.q**free
@@ -142,8 +148,8 @@ def enumerate_family(spec, partition=None):
 
     `partition` restricts to a (lo, hi) slice of [0, spec.space_size());
     slices from partition_ranges are disjoint and covering, so parallel
-    scans see each member exactly once.  A solved linear family is walked
-    directly over its free coordinates, anything else through the filter.
+    scans see each member exactly once.  A solved family is walked directly
+    over its free coordinates, anything else through the filter.
     """
     if spec.solution is None:
         yield from filter_family(spec, partition)
@@ -155,7 +161,7 @@ def enumerate_family(spec, partition=None):
     for index in range(lo, hi):
         for k, x in zip(free, _digits(index, field.q, len(free))):
             a[k] = x
-        _fill_pivots(field, rules, a)
+        _fill_pivots(rules, a)
         yield FamilyMember(tuple(a))
 
 
@@ -167,70 +173,77 @@ def family_cardinality(spec):
 def linear_family(field, d, m, forms):
     """Family cut out by affine forms of degree 1 in A_{d-1}..A_2.
 
-    The linear parts must have rank m over F_q; the a_1 slot stays free.
-    The system is solved once, pivots taken from the right, and the
-    solution is attached to the spec so `enumerate_family` walks the
-    q^(d-1-m) members directly.
+    Only validates: the forms must be affine, leave the a_1 slot free, and
+    have linear parts of rank m over F_q, which is exactly when `FamilySpec`
+    solves them, so the q^(d-1-m) members are walked directly.
     """
     if not 1 <= m <= d - 2:
         raise ParameterRange(f"need 1 <= m <= d-2, got m={m}, d={d}")
     if len(forms) != m:
         raise ArityMismatch(f"m={m} but {len(forms)} forms given")
-    a1_slot = d - 2
-    matrix = []
     for g in forms:
         if g.nvars != d - 1 or g.field != field:
             raise ArityMismatch("form has wrong variable count or field")
         if g.total_degree != 1:
             raise ParameterRange(f"form of degree {g.total_degree} is not linear")
-        row = [0] * (d - 1)  # coefficients of A_{d-1}..A_2, then the constant
-        for exps, c in g.terms.items():
-            if sum(exps) == 0:
-                row[-1] = c
-                continue
-            j = exps.index(1)
-            if j == a1_slot:
-                raise ParameterRange("linear constraints may not involve A1")
-            row[j] = c
-        matrix.append(row)
-    pivots, reduced = echelon_from_right(field, matrix, d - 2)
-    if len(pivots) < m:
-        raise RankDeficient(f"linear forms have rank < m={m}")
+        if any(exps[d - 2] for exps in g.terms):
+            raise ParameterRange("linear constraints may not involve A1")
     spec = FamilySpec(field, d, m, forms, kind="linear")
-    spec.solution = _solve(field, d, forms, pivots, reduced)
+    if spec.solution is None:
+        raise RankDeficient(f"linear forms have rank < m={m}")
     return spec
 
 
-def _solve(field, d, forms, pivots, reduced):
-    """(free, rules) for the reduced system: pivot j of each rule
-    (j, const, ((k, c), ...)) equals const + sum of c * a[k] over free k < j.
+def _substitute(g, j, rule):
+    """g with the polynomial `rule` put in for variable j."""
+    pis = [MultiPoly.variable(g.field, g.nvars, k) for k in range(g.nvars)]
+    pis[j] = rule
+    return weighted_compose(g, pis)
 
-    Every form composed with the rules is affine in the free coordinates,
-    so it vanishes identically once it vanishes at the origin and at each
-    free unit vector; that is checked before the solution is used.
+
+def _solve(field, n, constraints):
+    """(free, rules) solving the constraints from the right, or None.
+
+    While constraints remain, take A_j, the rightmost coordinate any of them
+    involves, and a constraint c*A_j + h in which A_j occurs only in that
+    one term with c a nonzero constant; its rule (j, -h/c) reads only
+    coordinates left of j, and is substituted into the other constraints.
+    None when a remaining constraint is constant (or zero) or no constraint
+    holds A_j cleanly.  The rules come out in descending j; every constraint
+    must reduce to the zero polynomial once they are substituted in that
+    order, and they are returned in ascending j, the order they are filled.
     """
-    neg = field.neg
-    free = tuple(k for k in range(d - 1) if k not in pivots)
-    rules = tuple(
-        (j, neg(row[-1]), tuple((k, neg(row[k])) for k in range(j) if row[k]))
-        for j, row in zip(pivots, reduced)
-    )
-    for unit in (None,) + free:
-        a = [1 if k == unit else 0 for k in range(d - 1)]
-        _fill_pivots(field, rules, a)
-        if any(g.eval(tuple(a)) for g in forms):
-            raise IdentityViolation(f"linear solve does not satisfy the forms at {a}")
-    return free, rules
+    remaining = list(constraints)
+    rules = []
+    while remaining:
+        if any(g.total_degree < 1 for g in remaining):
+            return None
+        j = max(k for g in remaining for exps in g.terms for k in range(n) if exps[k])
+        unit = tuple(int(k == j) for k in range(n))
+        for i, g in enumerate(remaining):
+            c = g.terms.get(unit)
+            if c and all(exps == unit or not exps[j] for exps in g.terms):
+                break
+        else:
+            return None
+        h = MultiPoly(field, n, {e: v for e, v in g.terms.items() if e != unit})
+        rule = h.scale(field.neg(field.inv(c)))
+        rules.append((j, rule))
+        del remaining[i]
+        remaining = [_substitute(g, j, rule) for g in remaining]
+    for g in constraints:
+        for j, rule in rules:
+            g = _substitute(g, j, rule)
+        if not g.is_zero():
+            raise IdentityViolation(f"solved rules leave the constraint residue {g}")
+    pivots = {j for j, _ in rules}
+    return tuple(k for k in range(n) if k not in pivots), tuple(reversed(rules))
 
 
-def _fill_pivots(field, rules, a):
-    """Set each pivot coordinate of a from the free coordinates, in place."""
-    add, mul = field.add, field.mul
-    for j, const, terms in rules:
-        acc = const
-        for k, c in terms:
-            acc = add(acc, mul(c, a[k]))
-        a[j] = acc
+def _fill_pivots(rules, a):
+    """Set each pivot coordinate of a from the coordinates to its left, in place."""
+    for j, rule in rules:
+        a[j] = rule.eval(a)
 
 
 def symmetric_family(field, d, m, s, shapes):

@@ -177,11 +177,6 @@ class Field:
             idx = idx * self.p + c
         return Fq(self, idx)
 
-    def from_index(self, idx: int) -> "Fq":
-        if not 0 <= idx < self.q:
-            raise ValueError(f"index {idx} outside field of order {self.q}")
-        return Fq(self, idx)
-
     def element(self, n: int) -> "Fq":
         return Fq(self, self.scalar(n))
 

@@ -123,10 +123,6 @@ def count_hermite_tuples(spec, r, **kw):
     return hermite_profile(spec, r, **kw)[0][r - 1]
 
 
-def count_coincident_tuples(spec, r, **kw):
-    return hermite_profile(spec, r, **kw)[1][r - 1]
-
-
 def check_identities(scan, star, coinc, r_max, label):
     """Check the exact Lemma equalities; a failure is an implementation bug.
 

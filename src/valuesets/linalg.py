@@ -1,9 +1,9 @@
-"""Gaussian elimination over a finite field: rank, determinant, and the
-right-to-left reduced echelon form that solves linear family constraints.
+"""Gaussian elimination over a finite field: rank and determinant.
 
 Rows are lists of canonical element indices.  Matrices here are tiny
-(Jacobians, subresultant submatrices, m affine forms in d-2 unknowns), so
-no pivot strategy beyond "first nonzero" is needed.
+(Jacobians, subresultant submatrices), so no pivot strategy beyond "first
+nonzero" is needed.  Family constraints, linear ones included, are solved
+by substitution in `families`, not here.
 """
 
 from __future__ import annotations
@@ -37,35 +37,6 @@ def rank(field: Field, rows: list[list[int]]) -> int:
         if r == len(m):
             break
     return r
-
-
-def echelon_from_right(field: Field, rows: list[list[int]], ncols: int):
-    """Reduced row echelon form whose pivots are taken from the right.
-
-    Only columns 0..ncols-1 are pivot candidates; any trailing entries
-    (constants of affine forms) are carried along.  Returns (pivots,
-    reduced): reduced[i] is 1 at column pivots[i], zero at every other
-    pivot column and at every column right of pivots[i].  Zero rows are
-    dropped, so len(pivots) is the rank of the leading ncols columns.
-    """
-    m = [list(r) for r in rows]
-    pivots = []
-    for col in reversed(range(ncols)):
-        r = len(pivots)
-        if r == len(m):
-            break
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][col])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            c = m[i][col]
-            if i != r and c:
-                m[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-    return pivots, m[: len(pivots)]
 
 
 def det(field: Field, rows: list[list[int]]) -> int:

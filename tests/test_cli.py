@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from textwrap import dedent
 
@@ -88,6 +89,38 @@ def test_worker_counts_agree():
     parallel = run_experiment(fanned)
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_summary() == parallel.to_summary()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1), (128, 64)])
+def test_worker_pool_capped_at_cpu_count(monkeypatch, cpus, want):
+    # 64 slices still cut, but never more processes than CPUs
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    text = SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0")
+    serial = run_experiment(parse_config(text))
+    fanned = parse_config(text)
+    fanned.workers = 64
+    parallel = run_experiment(fanned)
+    assert sizes == [want]
+    assert parallel.to_summary() == serial.to_summary()
+    assert parallel.to_csv() == serial.to_csv()
 
 
 PINNED_Q13 = dedent(

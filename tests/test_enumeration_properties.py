@@ -1,18 +1,23 @@
-"""Property tests: the direct linear enumerator against the candidate filter.
+"""Property tests: the direct enumerator against the candidate filter.
 
-Hypothesis draws a small field F_{p^s}, a degree d, a rank m and m random
-affine forms in A_{d-1}..A_2.  For a full-rank draw the directly walked
-members must equal the filtered candidates as an ordered list, slices of
-the member index space must concatenate to that list, and the family has
-exactly q^(d-1-m) members.
+Hypothesis draws a small field F_{p^s}, a degree d and a constraint system.
+Linear draws are m random affine forms in A_{d-1}..A_2 built through
+`linear_family`: a full-rank draw is solved, has exactly q^(d-1-m) members,
+and anything else is refused.  Custom draws mix graph forms
+c*A_j + h(coordinates left of j), linear forms over every slot (A1
+included) and arbitrary quadratics, and may or may not solve.  Either way
+the directly walked members must equal the filtered candidates as an
+ordered list, slices of the walked index space must concatenate to that
+list, and a solved family walks exactly its members.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from valuesets.errors import ParameterRange, RankDeficient
 from valuesets.families import (
+    FamilySpec,
     enumerate_family,
     filter_family,
     linear_family,
@@ -27,15 +32,19 @@ FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
 MAX_CANDIDATES = 2500  # q^(d-1) ceiling that keeps the filter cheap
 
 
-@st.composite
-def linear_systems(draw):
+def _field_and_degree(draw):
     p, s = draw(st.sampled_from(FIELDS))
     field = field_new(p, s)
-    q = field.q
     d_max = 3
-    while q ** d_max <= MAX_CANDIDATES:
+    while field.q ** d_max <= MAX_CANDIDATES:
         d_max += 1
-    d = draw(st.integers(3, d_max))
+    return field, draw(st.integers(3, d_max))
+
+
+@st.composite
+def linear_systems(draw):
+    field, d = _field_and_degree(draw)
+    q = field.q
     m = draw(st.integers(1, d - 2))
     element = st.integers(0, q - 1)
     rows = draw(st.lists(st.lists(element, min_size=d - 1, max_size=d - 1),
@@ -43,21 +52,21 @@ def linear_systems(draw):
     return field, d, m, rows
 
 
-def _form(field, d, row):
-    """sum_j row[j] * A_{d-1-j} over the slots A_{d-1}..A_2, plus row[-1]."""
-    terms = {(0,) * (d - 1): row[-1]}
+def _form(field, nvars, row):
+    """sum_j row[j] * (variable j), plus row[-1]; variable 0 is A_{d-1}."""
+    terms = {(0,) * nvars: row[-1]}
     for j, c in enumerate(row[:-1]):
-        exps = [0] * (d - 1)
+        exps = [0] * nvars
         exps[j] = 1
         terms[tuple(exps)] = c
-    return MultiPoly(field, d - 1, terms)
+    return MultiPoly(field, nvars, terms)
 
 
 @settings(max_examples=150, deadline=None)
 @given(linear_systems(), st.integers(1, 6))
 def test_direct_enumeration_matches_filter(system, parts):
     field, d, m, rows = system
-    forms = [_form(field, d, row) for row in rows]
+    forms = [_form(field, d - 1, row) for row in rows]  # A1 left out
     if any(g.total_degree != 1 for g in forms):
         # a zero linear part leaves a constant, not an affine form
         with pytest.raises(ParameterRange):
@@ -71,6 +80,58 @@ def test_direct_enumeration_matches_filter(system, parts):
     direct = list(enumerate_family(spec))
     assert direct == list(filter_family(spec))
     assert len(direct) == spec.space_size() == field.q ** (d - 1 - m)
+    pieces = []
+    for rng in partition_ranges(spec.space_size(), parts):
+        pieces.extend(enumerate_family(spec, partition=rng))
+    assert pieces == direct
+
+
+def _monomials(draw, field, nvars, slots, max_degree, min_terms):
+    """Random polynomial in nvars variables that reads only `slots`."""
+    terms = {}
+    for _ in range(draw(st.integers(min_terms, 3))):
+        exps = [0] * nvars
+        if slots:
+            for k in draw(st.lists(st.sampled_from(slots), max_size=max_degree)):
+                exps[k] += 1
+        terms[tuple(exps)] = draw(st.integers(1, field.q - 1))
+    return MultiPoly(field, nvars, terms)
+
+
+@st.composite
+def custom_systems(draw):
+    field, d = _field_and_degree(draw)
+    n = d - 1
+    element = st.integers(0, field.q - 1)
+    constraints = []
+    for _ in range(draw(st.integers(1, min(3, n)))):
+        shape = draw(st.sampled_from(["graph", "linear", "quadratic"]))
+        if shape == "graph":
+            j = draw(st.integers(0, n - 1))
+            c = draw(st.integers(1, field.q - 1))
+            g = MultiPoly.variable(field, n, j).scale(c)
+            g = g + _monomials(draw, field, n, list(range(j)), 3, 0)
+        elif shape == "linear":
+            row = draw(st.lists(element, min_size=n + 1, max_size=n + 1))
+            g = _form(field, n, row)  # every slot, A1 included
+        else:
+            g = _monomials(draw, field, n, list(range(n)), 2, 1)
+        constraints.append(g)
+    return field, d, constraints
+
+
+@settings(max_examples=150, deadline=None)
+@given(custom_systems(), st.integers(1, 6))
+def test_solved_custom_enumeration_matches_filter(system, parts):
+    field, d, constraints = system
+    assume(not any(g.is_zero() for g in constraints))
+    spec = FamilySpec(field, d, len(constraints), constraints)
+    direct = list(enumerate_family(spec))
+    assert direct == list(filter_family(spec))
+    if spec.solution is not None:
+        assert len(direct) == spec.space_size()
+    else:
+        assert spec.space_size() == field.q ** (d - 1)
     pieces = []
     for rng in partition_ranges(spec.space_size(), parts):
         pieces.extend(enumerate_family(spec, partition=rng))

@@ -8,6 +8,7 @@ from valuesets.errors import (
     RankDeficient,
     ZeroPolynomial,
 )
+from valuesets.diagnostics import _embedded_spec
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.ffield import field_new
 from valuesets.families import (
@@ -15,6 +16,7 @@ from valuesets.families import (
     candidate_at,
     enumerate_family,
     family_cardinality,
+    filter_family,
     linear_family,
     partition_ranges,
     symmetric_family,
@@ -186,3 +188,35 @@ def test_brute_force_cross_check_small():
     ]
     got = [m.a for m in enumerate_family(spec)]
     assert got == want
+
+
+def test_graph_family_solved_over_f16():
+    # A2 = A3^3 + A3^2 + A4 + 1 reads only coordinates to its left
+    f16 = field_new(2, 4)
+    spec = FamilySpec(f16, 5, 1, [constraint("A2 + A3^3 + A3^2 + A4 + 1", f16, 5)])
+    assert spec.space_size() == 4096
+    assert list(enumerate_family(spec, partition=(0, 300))) == list(
+        itertools.islice(filter_family(spec), 300)
+    )
+
+
+def test_embedded_and_top_form_specs_solved():
+    f13 = field_new(13)
+    spec = FamilySpec(f13, 5, 1, [constraint("A4 - 3", f13, 5)])
+    top = FamilySpec(f13, 5, 1, [g.highest_form() for g in spec.constraints])
+    assert top.solution is not None
+    assert family_cardinality(top) == top.space_size() == 13**3
+    ext = _embedded_spec(spec, 2)
+    assert ext.solution is not None
+    assert ext.space_size() == 169**3
+    for mem in enumerate_family(ext, partition=(0, 50)):
+        assert ext.constraints[0].eval(mem.a) == 0
+
+
+def test_rule_reading_to_the_right_stays_on_filter():
+    # A1 occurs only squared, and solving for A3 would read A1
+    spec = FamilySpec(F5, 4, 1, [constraint("A3 + A1^2", F5, 4)])
+    assert spec.solution is None
+    assert spec.space_size() == 5**3
+    assert list(enumerate_family(spec)) == list(filter_family(spec))
+    assert family_cardinality(spec) == 25
