@@ -98,35 +98,26 @@ def _oracle_stages(spec, scan, star, coinc, r_max, budget):
     notes = []
     members = scan.member_count
     for r in range(1, min(r_max, 2) + 1):
-        try:
-            direct = count_interpolating_sets_direct(spec, r, budget, members)
-            if direct != scan.interpolating_count(r):
+        # the oracles are looked up at call time, so wrappers installed on
+        # this module see every call
+        for tag, oracle, name, method, expected in (
+            ("S", count_interpolating_sets_direct, "direct subset",
+             "direct subset enumeration", scan.interpolating_count(r)),
+            ("tuples", count_distinct_tuples_oracle, "distinct tuple",
+             "raw enumeration", scan.distinct_tuple_count(r)),
+            ("prefix", count_hermite_tuples_oracle, "division",
+             "divisibility enumeration", star[r - 1]),
+        ):
+            try:
+                got = oracle(spec, r, budget, members)
+            except BudgetExceeded as exc:
+                notes.append(f"oracle {tag}_{r}: skipped, {exc}")
+                continue
+            if got != expected:
                 raise IdentityViolation(
-                    f"direct subset oracle disagrees at r={r}: "
-                    f"{direct} != {scan.interpolating_count(r)}"
+                    f"{name} oracle disagrees at r={r}: {got} != {expected}"
                 )
-            notes.append(f"oracle S_{r}: direct subset enumeration agreed ({direct})")
-        except BudgetExceeded as exc:
-            notes.append(f"oracle S_{r}: skipped, {exc}")
-        try:
-            tuples = count_distinct_tuples_oracle(spec, r, budget, members)
-            if tuples != scan.distinct_tuple_count(r):
-                raise IdentityViolation(
-                    f"distinct tuple oracle disagrees at r={r}: "
-                    f"{tuples} != {scan.distinct_tuple_count(r)}"
-                )
-            notes.append(f"oracle tuples_{r}: raw enumeration agreed ({tuples})")
-        except BudgetExceeded as exc:
-            notes.append(f"oracle tuples_{r}: skipped, {exc}")
-        try:
-            herm = count_hermite_tuples_oracle(spec, r, budget, members)
-            if herm != star[r - 1]:
-                raise IdentityViolation(
-                    f"division oracle disagrees at r={r}: {herm} != {star[r - 1]}"
-                )
-            notes.append(f"oracle prefix_{r}: divisibility enumeration agreed ({herm})")
-        except BudgetExceeded as exc:
-            notes.append(f"oracle prefix_{r}: skipped, {exc}")
+            notes.append(f"oracle {tag}_{r}: {method} agreed ({got})")
     return notes
 
 

@@ -181,6 +181,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValidationError(f"workers >= 1 required (workers={config.workers})")
     if config.oracle_budget < 0:
         raise ValidationError("oracle_budget must be nonnegative")
+    if not config.diag_extensions:
+        raise ValidationError("diag_extensions must name at least one extension degree")
     if any(k < 1 for k in config.diag_extensions):
         raise ValidationError("diag_extensions must be positive integers")
     if config.kind == "symmetric":

@@ -19,7 +19,13 @@ points over small extensions:
   triple root, or a root whose multiplicity the characteristic divides)
   should have codimension one resp. two inside the family; counts N1, N2 are
   compared against Bezout-style allowances.  The counts come from the family
-  scan (`engine.scan_family`); only the regularity checks enumerate here.
+  scan (`engine.scan_family`).
+
+Only the regularity checks enumerate here, and only over a family that
+`FamilySpec` could not solve (kept on the filter, e.g. a rule that would
+read to its right, or the top form A3^3).  A solved family is the graph of
+its pivot rules over the free coordinates: it has Q^(free) points over F_Q
+and Jacobian rank m at each, which both checks read off `spec.solution`.
 
 A report status is one of `pass-necessary-conditions`, `fail`, or
 `inconclusive`; a pass never claims more than the phrase says, and the
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import prod
 
 from .bounds import family_size_bracket
 from .engine import scan_family
@@ -44,7 +51,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 # Candidate-point ceiling for extension scans; Q^(d-1) above this skips k.
-DEFAULT_POINT_BUDGET = 300_000
+POINT_BUDGET = 300_000
 
 
 @dataclass(frozen=True)
@@ -64,13 +71,6 @@ class DiagnosticReport:
         return "\n".join(lines)
 
 
-def _degree_product(degrees) -> int:
-    out = 1
-    for e in degrees:
-        out *= e
-    return out
-
-
 def _embedded_spec(spec: FamilySpec, k: int) -> FamilySpec:
     """The same family read over the degree-k extension of its field."""
     base = spec.field
@@ -82,33 +82,41 @@ def _embedded_spec(spec: FamilySpec, k: int) -> FamilySpec:
     return FamilySpec(ext, spec.d, spec.m, gs, kind=spec.kind)
 
 
-def _regularity_scan(spec: FamilySpec, extension_degrees, point_budget, c):
-    """Shared body of the rank and size checks; returns raw per-k results."""
+def _walk_rank(spec: FamilySpec):
+    """(points, deficient, first_bad): the Jacobian ranked at every point."""
+    jac_rows = [[g.partial(i) for i in range(spec.d - 1)] for g in spec.constraints]
+    points = 0
+    deficient = 0
+    first_bad = None
+    for member in enumerate_family(spec):
+        points += 1
+        rows = [[pg.eval(member.a) for pg in row] for row in jac_rows]
+        if rank(spec.field, rows) < spec.m:
+            deficient += 1
+            if first_bad is None:
+                first_bad = member.a
+    return points, deficient, first_bad
+
+
+def _regularity_report(label, spec, extension_degrees):
+    """Rank and size checks at each k; walks only families `_solve` left unsolved."""
     d, m = spec.d, spec.m
     dim = d - 1 - m
+    c = prod(spec.degrees) ** 2
     per_k = {}
     fail_reason = None
     witness = None
     for k in extension_degrees:
         big_q = spec.field.q**k
-        if big_q ** (d - 1) > point_budget:
-            per_k[k] = {"skipped": f"{big_q}^{d - 1} candidates exceed budget {point_budget}"}
+        if big_q ** (d - 1) > POINT_BUDGET:
+            per_k[k] = {"skipped": f"{big_q}^{d - 1} candidates exceed budget {POINT_BUDGET}"}
             continue
-        ext_spec = _embedded_spec(spec, k)
-        ext = ext_spec.field
-        jac_rows = [
-            [g.partial(i) for i in range(d - 1)] for g in ext_spec.constraints
-        ]
-        points = 0
-        deficient = 0
-        first_bad = None
-        for member in enumerate_family(ext_spec):
-            points += 1
-            rows = [[pg.eval(member.a) for pg in row] for row in jac_rows]
-            if rank(ext, rows) < m:
-                deficient += 1
-                if first_bad is None:
-                    first_bad = member.a
+        if spec.solution is not None:
+            # _solve keeps the ideal: (g) = (A_j - r_j), unit triangular on the pivots,
+            # so V(F_Q) is the graph over the free coordinates, of rank m everywhere.
+            points, deficient, first_bad = big_q ** len(spec.solution[0]), 0, None
+        else:
+            points, deficient, first_bad = _walk_rank(_embedded_spec(spec, k))
         allowed = Fraction(c) * Fraction(big_q) ** (dim - 2)
         entry = {
             "Q": big_q,
@@ -142,15 +150,7 @@ def _regularity_scan(spec: FamilySpec, extension_degrees, point_budget, c):
         else:
             entry["bracket"] = "threshold unmet"
         per_k[k] = entry
-    return per_k, fail_reason, witness
-
-
-def _regularity_report(label, spec, extension_degrees, point_budget):
-    c = _degree_product(spec.degrees) ** 2
-    per_k, fail_reason, witness = _regularity_scan(
-        spec, extension_degrees, point_budget, c
-    )
-    evidence = {"constant": c, "dimension": spec.d - 1 - spec.m}
+    evidence = {"constant": c, "dimension": dim}
     for k, entry in per_k.items():
         for key, val in entry.items():
             evidence[f"k{k}.{key}"] = val
@@ -180,24 +180,19 @@ def _regularity_report(label, spec, extension_degrees, point_budget):
     return DiagnosticReport(label, INCONCLUSIVE, text, evidence)
 
 
-def check_regularity(
-    spec: FamilySpec,
-    extension_degrees=(1, 2),
-    point_budget: int = DEFAULT_POINT_BUDGET,
-) -> DiagnosticReport:
+def check_regularity(spec: FamilySpec, extension_degrees=(1, 2)) -> DiagnosticReport:
     """Rank and size checks on the constraint variety over small extensions.
 
     The allowance constant c is the squared product of constraint degrees,
     a Bezout-style heuristic for the degree of the locus where the Jacobian
-    drops rank.
+    drops rank.  A degree k whose Q^(d-1) candidates exceed `POINT_BUDGET`
+    is skipped.
     """
-    return _regularity_report("regularity", spec, extension_degrees, point_budget)
+    return _regularity_report("regularity", spec, extension_degrees)
 
 
 def check_regularity_at_infinity(
-    spec: FamilySpec,
-    extension_degrees=(1, 2),
-    point_budget: int = DEFAULT_POINT_BUDGET,
+    spec: FamilySpec, extension_degrees=(1, 2)
 ) -> DiagnosticReport:
     """Same checks on the highest homogeneous parts of the constraints.
 
@@ -211,9 +206,7 @@ def check_regularity_at_infinity(
         [g.highest_form() for g in spec.constraints],
         kind=spec.kind,
     )
-    return _regularity_report(
-        "regularity-at-infinity", top, extension_degrees, point_budget
-    )
+    return _regularity_report("regularity-at-infinity", top, extension_degrees)
 
 
 def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
@@ -239,7 +232,7 @@ def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
         scan = scan_family(spec)
     d, m, q = spec.d, spec.m, spec.field.q
     dim_v = d - m
-    delta = _degree_product(spec.degrees)
+    delta = prod(spec.degrees)
     disc_deg = d * (d - 1)
     c1 = delta * disc_deg
     c2 = delta * disc_deg**2
@@ -308,15 +301,12 @@ def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
 
 
 def run_all(
-    spec: FamilySpec,
-    extension_degrees=(1, 2),
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    scan=None,
+    spec: FamilySpec, extension_degrees=(1, 2), scan=None
 ) -> list[DiagnosticReport]:
     """The three checks in a fixed order, as consumed by the CLI, which
     passes its family scan on to `check_discriminant_loci`."""
     return [
-        check_regularity(spec, extension_degrees, point_budget),
-        check_regularity_at_infinity(spec, extension_degrees, point_budget),
+        check_regularity(spec, extension_degrees),
+        check_regularity_at_infinity(spec, extension_degrees),
         check_discriminant_loci(spec, scan),
     ]

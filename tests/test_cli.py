@@ -81,6 +81,20 @@ def test_golden_csv_file():
     assert report.to_csv() == golden.read_bytes().decode("utf-8")
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.cfg")))
+def test_sample_configs_match_recorded_output(name):
+    # CSV and summary of each shipped config, byte for byte; the summary
+    # carries every diagnostic's evidence and witness
+    text = (CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+    report = run_experiment(parse_config(text))
+    recorded = Path(__file__).parent / "data" / "configs"
+    assert report.to_csv().encode("utf-8") == (recorded / f"{name}.csv").read_bytes()
+    assert report.to_summary().encode("utf-8") == (recorded / f"{name}.txt").read_bytes()
+
+
 def test_worker_counts_agree():
     base = parse_config(SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0"))
     serial = run_experiment(base)
@@ -333,6 +347,21 @@ def test_symmetric_allowance_needs_tame_characteristic():
     assert "allowance (symmetric)" not in report.to_summary()
 
 
+@pytest.mark.parametrize(
+    "oracle, message",
+    [
+        ("count_interpolating_sets_direct", "direct subset oracle disagrees at r=1"),
+        ("count_distinct_tuples_oracle", "distinct tuple oracle disagrees at r=1"),
+        ("count_hermite_tuples_oracle", "division oracle disagrees at r=1"),
+    ],
+)
+def test_literal_oracle_disagreement_aborts(monkeypatch, oracle, message):
+    true_count = getattr(cli, oracle)
+    monkeypatch.setattr(cli, oracle, lambda *args: true_count(*args) + 1)
+    with pytest.raises(IdentityViolation, match=message):
+        run_experiment(parse_config(SMALL_Q7))
+
+
 def test_zero_budget_skips_oracles_with_note():
     cfg = parse_config(SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0"))
     text = run_experiment(cfg).to_summary()
@@ -376,6 +405,15 @@ def test_main_rejects_invalid_config(tmp_path, capsys):
     rc = main(["run", str(cfg_path)])
     assert rc == 2
     assert "q > d required" in capsys.readouterr().err
+
+
+def test_main_rejects_empty_diag_extensions(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(
+        SMALL_Q7.replace("diag_extensions = 1,2", "diag_extensions ="), encoding="utf-8"
+    )
+    assert main(["run", str(cfg_path)]) == 2
+    assert "diag_extensions must name at least one" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,14 @@ def test_r_max_above_d_is_rejected():
         parse_config(text)
 
 
+def test_empty_diag_extensions_is_rejected():
+    # an empty list would leave both regularity reports without a reason
+    for value in ("", " , "):
+        text = MINIMAL + f"\n[run]\ndiag_extensions = {value}\n"
+        with pytest.raises(ValidationError, match="at least one extension degree"):
+            parse_config(text)
+
+
 def test_malformed_expression_reports_position():
     text = MINIMAL.replace("forms = A3", "forms = A3 +")
     with pytest.raises(ParseError) as exc:

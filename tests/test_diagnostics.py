@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from valuesets import diagnostics
 from valuesets.diagnostics import (
     FAIL,
     INCONCLUSIVE,
@@ -90,12 +93,52 @@ def test_quadratic_family_fails_at_infinity():
 
 
 def test_budget_skips_give_inconclusive():
-    f5 = field_new(5)
-    spec = linear_family(f5, 4, 1, [constraint(f5, 4, "A3")])
-    rep = check_regularity(spec, point_budget=10)
+    # 13^5 = 371 293 candidates exceed POINT_BUDGET at k = 1 already
+    f13 = field_new(13)
+    spec = linear_family(f13, 6, 1, [constraint(f13, 6, "A5")])
+    rep = check_regularity(spec)
     assert rep.status == INCONCLUSIVE
     assert "skipped" in rep.text
     assert "k1.skipped" in rep.evidence and "k2.skipped" in rep.evidence
+
+
+def test_solved_families_are_not_walked(monkeypatch):
+    # a solved family is a graph: points and rank are read off the solution,
+    # with the same evidence the walk gave
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a solved family was enumerated")
+
+    monkeypatch.setattr(diagnostics, "enumerate_family", no_walk)
+    f16 = field_new(2, 4)
+    rep = check_regularity(spec_of(f16, 5, ["A2 + A3^3 + A3^2 + A4 + 1"]))
+    assert rep.status == INCONCLUSIVE and rep.witness is None
+    assert rep.evidence == {
+        "constant": 9,
+        "dimension": 3,
+        "k1.Q": 16,
+        "k1.points": 4096,
+        "k1.deficient": 0,
+        "k1.allowed": Fraction(144),
+        "k1.rank_ok": True,
+        "k1.bracket": "threshold unmet",
+        "k2.skipped": "256^4 candidates exceed budget 300000",
+    }
+    f5 = field_new(5)
+    reports = run_all(linear_family(f5, 4, 1, [constraint(f5, 4, "A3")]))
+    expected = {"constant": 1, "dimension": 2}
+    for k, big_q in ((1, 5), (2, 25)):
+        expected.update({
+            f"k{k}.Q": big_q,
+            f"k{k}.points": big_q**2,
+            f"k{k}.deficient": 0,
+            f"k{k}.allowed": Fraction(1),
+            f"k{k}.rank_ok": True,
+            f"k{k}.bracket": f"({big_q**2}/2, {big_q**2}]",
+            f"k{k}.bracket_ok": True,
+        })
+    for rep in reports[:2]:
+        assert (rep.status, rep.evidence, rep.witness) == (PASS, expected, None)
+    assert reports[2].status == PASS
 
 
 def test_extension_base_field_goes_through_embedding():

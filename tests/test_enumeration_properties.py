@@ -8,13 +8,16 @@ c*A_j + h(coordinates left of j), linear forms over every slot (A1
 included) and arbitrary quadratics, and may or may not solve.  Either way
 the directly walked members must equal the filtered candidates as an
 ordered list, slices of the walked index space must concatenate to that
-list, and a solved family walks exactly its members.
+list, and a solved family walks exactly its members.  The regularity check
+reads a solved family's points and Jacobian rank off its solution; over F_q
+and F_{q^2} that must equal the Jacobian ranked at every walked point.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from valuesets.diagnostics import _embedded_spec, _walk_rank, check_regularity
 from valuesets.errors import ParameterRange, RankDeficient
 from valuesets.families import (
     FamilySpec,
@@ -136,3 +139,30 @@ def test_solved_custom_enumeration_matches_filter(system, parts):
     for rng in partition_ranges(spec.space_size(), parts):
         pieces.extend(enumerate_family(spec, partition=rng))
     assert pieces == direct
+
+
+@st.composite
+def solved_specs(draw):
+    if draw(st.booleans()):
+        field, d, m, rows = draw(linear_systems())
+        forms = [_form(field, d - 1, row) for row in rows]
+        assume(all(g.total_degree == 1 for g in forms))
+        assume(rank(field, [row[:-1] for row in rows]) == m)
+        return linear_family(field, d, m, forms)
+    field, d, constraints = draw(custom_systems())
+    # the size bracket needs d >= m + 2, as every config does
+    assume(len(constraints) <= d - 2 and not any(g.is_zero() for g in constraints))
+    spec = FamilySpec(field, d, len(constraints), constraints)
+    assume(spec.solution is not None)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(solved_specs())
+def test_solved_regularity_closed_form_matches_walk(spec):
+    ks = tuple(k for k in (1, 2) if spec.field.q ** (k * (spec.d - 1)) <= 20_000)
+    rep = check_regularity(spec, ks)
+    for k in ks:
+        points = spec.field.q ** (k * len(spec.solution[0]))
+        assert (rep.evidence[f"k{k}.points"], rep.evidence[f"k{k}.deficient"]) == (points, 0)
+        assert _walk_rank(_embedded_spec(spec, k)) == (points, 0, None)
