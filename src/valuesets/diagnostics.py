@@ -103,6 +103,10 @@ def _regularity_report(label, spec, extension_degrees):
     d, m = spec.d, spec.m
     dim = d - 1 - m
     c = prod(spec.degrees) ** 2
+    if d < m + 2:
+        evidence = {"constant": c, "dimension": dim}
+        text = f"size bracket needs d >= m+2, got d={d}, m={m}"
+        return DiagnosticReport(label, INCONCLUSIVE, text, evidence)
     per_k = {}
     fail_reason = None
     witness = None

@@ -19,7 +19,14 @@ are functionals of the histogram and the patterns too.
 
 The scan also counts the repeated-root loci (deg gcd(f + a_0, f') >= 1, 2)
 that `diagnostics.check_discriminant_loci` reads, so it is the one
-per-member pass over the family.
+per-member pass over the family.  With e = deg f' >= 1 and r = f mod f',
+deg gcd(f + a_0, f') is the dimension of the kernel of multiplication by
+r + a_0 on F_q[T]/(f'), the geometric multiplicity of -a_0 as an eigenvalue
+of the e x e matrix M_r of multiplication by r.  So one characteristic
+polynomial chi of M_r per member, evaluated at every -a_0, sieves the first
+locus (chi(-a_0) is Res(f + a_0, f') up to a unit), and a gcd is needed
+only at a multiple root of chi, for the second.  When f' = 0 every shift
+lies in both loci; when f' is a nonzero constant none does.
 
 All aggregates are exact big integers; averages are exact Fractions.  The
 literal subset-enumeration oracle for S_r survives behind a work budget.
@@ -121,23 +128,85 @@ def _repeated_root_profile(field, a_desc, loci, witnesses):
     shifts a_0 with deg gcd(f + a_0, f') >= 1 resp. >= 2, and q to loci[2]
     when f' vanishes identically; an empty witnesses[i] takes
     (*a_desc, a_0) for the smallest a_0 counted in loci[i].
+
+    With e = deg f' >= 1 and r = f mod f', deg gcd(f + a_0, f') is the
+    dimension of the kernel of M_r + a_0, M_r the matrix of multiplication
+    by r on F_q[T]/(f'), so a_0 counts in loci[0] exactly when
+    chi(-a_0) = 0, chi = det(xI - M_r).  chi is evaluated at every shift in
+    ascending order.  At a simple root the eigenspace is a line, so the
+    degree is 1; only at a multiple root does `_gcd_degree` decide loci[1].
+    Two cases need no chi: when f' = 0 every shift has gcd f + a_0, of
+    degree d >= 2, and when deg f' = 0 no shift counts.
     """
     rows = field.rows()
-    mul = rows[1]
+    add, mul, neg, inv = rows
     f = [0] + list(reversed(a_desc)) + [1]
     d = len(f) - 1
     deriv = [mul[field.scalar(j)][f[j]] for j in range(1, d + 1)]
     while deriv and deriv[-1] == 0:
         deriv.pop()
-    if not deriv:  # gcd(f + a_0, 0) = f + a_0, of degree d >= 2
+    if not deriv:
+        loci[0] += field.q
+        loci[1] += field.q
         loci[2] += field.q
+        for i in range(2):
+            if witnesses[i] is None:
+                witnesses[i] = (*a_desc, 0)
+        return
+    e = len(deriv) - 1
+    if e == 0:
+        return
+    # the columns r * T^i mod f' of M_r, as the rows of its transpose, which
+    # has the same characteristic polynomial; T^e = sum of reduce[j] T^j
+    minus_lead = mul[neg[inv[deriv[-1]]]]
+    reduce = [minus_lead[c] for c in deriv[:-1]]
+    col = _poly_rem(rows, f, deriv)
+    col += [0] * (e - len(col))
+    cols = [col]
+    for _ in range(e - 1):
+        top = mul[col[-1]]
+        col = [add[c][top[t]] for c, t in zip([0] + col, reduce)]
+        cols.append(col)
+    chi = _charpoly(rows, cols)[::-1]  # descending
     for a0 in range(field.q):
+        mx = mul[neg[a0]]
+        acc = 0
+        for coef in chi:
+            acc = add[mx[acc]][coef]
+        if acc:
+            continue
+        # chi'(-a_0) != 0 marks a simple root, whose eigenspace is a line
+        der = acc = 0
+        for coef in chi:
+            der = add[mx[der]][acc]
+            acc = add[mx[acc]][coef]
         f[0] = a0
-        g = _gcd_degree(rows, f, deriv) if deriv else d
+        g = 1 if der else _gcd_degree(rows, f, deriv)
         for i in range(min(g, 2)):
             loci[i] += 1
             if witnesses[i] is None:
                 witnesses[i] = (*a_desc, a0)
+
+
+def _poly_rem(rows, a, b):
+    """Remainder of a by b, ascending coefficient-index lists, through the
+    field's lookup rows; b has a nonzero last entry.  Trailing zeros are
+    stripped, so the zero remainder is []."""
+    add, mul, neg, inv = rows
+    a = a[:]
+    db = len(b) - 1
+    scale = mul[inv[b[-1]]]
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            minus_c = mul[neg[scale[c]]]
+            off = i - db
+            for j in range(db):
+                a[off + j] = add[a[off + j]][minus_c[b[j]]]
+            a[i] = 0
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _gcd_degree(rows, a, b):
@@ -147,24 +216,68 @@ def _gcd_degree(rows, a, b):
     `unipoly.poly_gcd` is the reference implementation that tests compare
     against.
     """
-    add, mul, neg, inv = rows
-    a = a[:]
-    b = b[:]
     while b:
-        db = len(b) - 1
-        scale = mul[inv[b[-1]]]
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                minus_c = mul[neg[scale[c]]]
-                off = i - db
-                for j in range(db):
-                    a[off + j] = add[a[off + j]][minus_c[b[j]]]
-                a[i] = 0
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
+        a, b = b, _poly_rem(rows, a, b)
     return len(a) - 1
+
+
+def _charpoly(rows, m):
+    """det(xI - m) as an ascending coefficient-index list, for a square
+    matrix m of element indices (a list of rows), through the field's
+    lookup rows.
+
+    m is brought to upper Hessenberg form h by similarity: for each column
+    k, a nonzero entry below the subdiagonal is swapped onto it, and each
+    row i below it loses u times row k+1 while column k+1 gains u times
+    column i.  The characteristic polynomials p_j of the leading j x j
+    blocks of h then satisfy p_0 = 1 and
+
+        p_j = (x - h[j-1][j-1]) p_{j-1}
+              - sum_{i<j} h[i-1][j-1] h[i][i-1] ... h[j-1][j-2] p_{i-1}.
+
+    Only field operations are used, so this holds in every characteristic.
+    """
+    add, mul, neg, inv = rows
+    n = len(m)
+    h = [row[:] for row in m]
+    for k in range(n - 2):
+        pivot = k + 1
+        while pivot < n and not h[pivot][k]:
+            pivot += 1
+        if pivot == n:
+            continue
+        if pivot != k + 1:
+            h[pivot], h[k + 1] = h[k + 1], h[pivot]
+            for row in h:
+                row[pivot], row[k + 1] = row[k + 1], row[pivot]
+        scale = mul[inv[h[k + 1][k]]]
+        top = h[k + 1]
+        for i in range(k + 2, n):
+            u = scale[h[i][k]]
+            if u:
+                minus_u, plus_u = mul[neg[u]], mul[u]
+                hi = h[i]
+                for j in range(k, n):  # top[j] = 0 left of column k
+                    hi[j] = add[hi[j]][minus_u[top[j]]]
+                for row in h:
+                    row[k + 1] = add[row[k + 1]][plus_u[row[i]]]
+    p = [[1]]
+    for j in range(1, n + 1):
+        prev = p[-1]
+        minus_diag = mul[neg[h[j - 1][j - 1]]]
+        nxt = [0] + prev  # x * p_{j-1}
+        for t, c in enumerate(prev):
+            nxt[t] = add[nxt[t]][minus_diag[c]]
+        prod = 1
+        for i in range(j - 1, 0, -1):
+            prod = mul[prod][h[i][i - 1]]
+            if not prod:
+                break
+            minus_c = mul[neg[mul[h[i - 1][j - 1]][prod]]]
+            for t, c in enumerate(p[i - 1]):
+                nxt[t] = add[nxt[t]][minus_c[c]]
+        p.append(nxt)
+    return p[n]
 
 
 def _hermite_tuples(pattern, r):

@@ -155,13 +155,14 @@ def enumerate_family(spec, partition=None):
         yield from filter_family(spec, partition)
         return
     field = spec.field
+    rows = field.rows()
     free, rules = spec.solution
     lo, hi = _check_partition(partition, spec.space_size())
     a = [0] * (spec.d - 1)
     for index in range(lo, hi):
         for k, x in zip(free, _digits(index, field.q, len(free))):
             a[k] = x
-        _fill_pivots(rules, a)
+        _fill_pivots(rows, rules, a)
         yield FamilyMember(tuple(a))
 
 
@@ -211,7 +212,8 @@ def _solve(field, n, constraints):
     None when a remaining constraint is constant (or zero) or no constraint
     holds A_j cleanly.  The rules come out in descending j; every constraint
     must reduce to the zero polynomial once they are substituted in that
-    order, and they are returned in ascending j, the order they are filled.
+    order, and they are returned in ascending j, the order they are filled,
+    each compiled by `_compile_rule` for `_fill_pivots`.
     """
     remaining = list(constraints)
     rules = []
@@ -237,13 +239,31 @@ def _solve(field, n, constraints):
         if not g.is_zero():
             raise IdentityViolation(f"solved rules leave the constraint residue {g}")
     pivots = {j for j, _ in rules}
-    return tuple(k for k in range(n) if k not in pivots), tuple(reversed(rules))
+    free = tuple(k for k in range(n) if k not in pivots)
+    return free, tuple((j, _compile_rule(rule)) for j, rule in reversed(rules))
 
 
-def _fill_pivots(rules, a):
-    """Set each pivot coordinate of a from the coordinates to its left, in place."""
-    for j, rule in rules:
-        a[j] = rule.eval(a)
+def _compile_rule(rule):
+    """The terms of a rule as (coefficient, ((coordinate, exponent), ...))."""
+    return tuple(
+        (c, tuple((k, e) for k, e in enumerate(exps) if e))
+        for exps, c in rule.terms.items()
+    )
+
+
+def _fill_pivots(rows, rules, a):
+    """Set each pivot coordinate of a from the coordinates to its left, in
+    place, evaluating the compiled rules through the field's lookup rows."""
+    add, mul = rows[0], rows[1]
+    for j, terms in rules:
+        total = 0
+        for v, factors in terms:
+            for k, e in factors:
+                row = mul[a[k]]
+                for _ in range(e):
+                    v = row[v]
+            total = add[total][v]
+        a[j] = total
 
 
 def symmetric_family(field, d, m, s, shapes):

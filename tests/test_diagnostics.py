@@ -102,6 +102,19 @@ def test_budget_skips_give_inconclusive():
     assert "k1.skipped" in rep.evidence and "k2.skipped" in rep.evidence
 
 
+def test_too_many_constraints_give_inconclusive_not_traceback():
+    # m = 2 > d - 2 = 1: the size bracket around q^(d-m-1) is undefined, and
+    # FamilySpec still builds such specs (Hypothesis draws them)
+    f2 = field_new(2)
+    spec = spec_of(f2, 3, ["A2", "A1 + A2^2"])
+    for check in (check_regularity, check_regularity_at_infinity):
+        rep = check(spec)
+        assert rep.status == INCONCLUSIVE
+        assert "size bracket needs d >= m+2" in rep.text
+        assert rep.evidence == {"constant": 4, "dimension": 0}
+    assert [rep.status for rep in run_all(spec)][:2] == [INCONCLUSIVE, INCONCLUSIVE]
+
+
 def test_solved_families_are_not_walked(monkeypatch):
     # a solved family is a graph: points and rank are read off the solution,
     # with the same evidence the walk gave

@@ -18,6 +18,13 @@ methods and `UniPoly`:
 
 Some draws take d divisible by p and may add the constraints a_k = 0 for
 every k prime to p, so that f' vanishes identically on the whole family.
+
+The charpoly sieve behind the repeated-root counts is also checked on raw
+coefficient tuples over F_2 ... F_16 with d <= 8, weighted towards its edge
+cases: p | d, f' = 0, deg f' = 0 and q <= deg f'.  There the counts must
+equal the per-shift `poly_gcd` loop, the charpoly helper must equal
+`linalg.det(xI - M)` at every x, and chi(-a_0) must vanish exactly where
+`resultant(f + a_0, f')` does.
 """
 
 from collections import Counter
@@ -26,12 +33,18 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valuesets.engine import _repeated_root_profile, scan_family, value_set_size
-from valuesets.families import FamilySpec, filter_family, partition_ranges
+from valuesets.engine import (
+    _charpoly,
+    _repeated_root_profile,
+    scan_family,
+    value_set_size,
+)
+from valuesets.families import FamilyMember, FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import count_hermite_tuples_oracle, hermite_profile
+from valuesets.linalg import det
 from valuesets.multipoly import MultiPoly
-from valuesets.unipoly import UniPoly, poly_gcd
+from valuesets.unipoly import UniPoly, poly_gcd, resultant
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 MAX_CANDIDATES = 100  # q^(d-1) ceiling
@@ -195,3 +208,95 @@ def test_scan_loci_match_gcd(spec):
     scan = scan_family(spec)
     assert scan.loci == loci
     assert scan.witnesses == witnesses
+
+
+# F_2 ... F_16, with F_13 and F_16 beyond the family draws above
+SIEVE_FIELDS = FIELDS + [(13, 1), (2, 4)]
+SIEVE_MAX_DEGREE = 8
+SIEVE_CASES = ["any", "p_divides_d", "zero_derivative", "constant_derivative", "q_le_e"]
+
+
+@st.composite
+def member_tuples(draw):
+    """(field, a_desc) for a monic f of degree d <= 8, most draws aimed at
+    one of the sieve's edge cases."""
+    case = draw(st.sampled_from(SIEVE_CASES))
+    if case == "any":
+        p, s = draw(st.sampled_from(SIEVE_FIELDS))
+        d = draw(st.integers(2, SIEVE_MAX_DEGREE))
+    elif case == "q_le_e":  # e = d - 1 >= q unless p | d
+        p, s = draw(st.sampled_from([f for f in SIEVE_FIELDS if f[0] ** f[1] < 8]))
+        d = draw(st.integers(p**s + 1, SIEVE_MAX_DEGREE))
+    else:
+        p, s = draw(st.sampled_from([f for f in SIEVE_FIELDS if f[0] <= SIEVE_MAX_DEGREE]))
+        d = draw(st.sampled_from(range(p, SIEVE_MAX_DEGREE + 1, p)))
+    field = field_new(p, s)
+    q = field.q
+    a = draw(st.lists(st.integers(0, q - 1), min_size=d - 1, max_size=d - 1))
+    if case in ("zero_derivative", "constant_derivative"):
+        for k in range(1, d):  # a_k is a[d - 1 - k]; k a_k T^(k-1) drops out
+            if k % p:
+                a[d - 1 - k] = 0
+        if case == "constant_derivative":  # f' = a_1
+            a[d - 2] = draw(st.integers(1, q - 1))
+    return field, tuple(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_tuples())
+def test_sieve_matches_gcd_on_coefficient_tuples(drawn):
+    field, a = drawn
+    loci, witnesses = [0, 0, 0], [None, None]
+    _repeated_root_profile(field, a, loci, witnesses)
+    assert (loci, witnesses) == _gcd_loci(field, FamilyMember(a))
+
+
+@st.composite
+def square_matrices(draw):
+    """(field, m) with m an n x n matrix, n <= 6, zeros weighted up so that
+    the Hessenberg reduction must search for pivots and swap them in."""
+    field = field_new(*draw(st.sampled_from(SIEVE_FIELDS)))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+    return field, draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_charpoly_matches_determinant(drawn):
+    field, m = drawn
+    n = len(m)
+    chi = UniPoly(field, _charpoly(field.rows(), m))
+    assert chi.degree == n and chi.lc == 1
+    for x in field.indices():
+        shifted = [
+            [field.sub(x if i == j else 0, m[i][j]) for j in range(n)] for i in range(n)
+        ]
+        assert chi.eval(x) == det(field, shifted), (m, x)
+
+
+def _multiplication_matrix(r, h):
+    """Matrix of multiplication by r on F_q[T]/(h): column i is r T^i mod h."""
+    field, e = r.field, h.degree
+    t = UniPoly(field, [0, 1])
+    cols = []
+    col = r % h
+    for _ in range(e):
+        cols.append([col.coefficient(j) for j in range(e)])
+        col = (col * t) % h
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_tuples())
+def test_charpoly_roots_are_resultant_zeros(drawn):
+    field, a = drawn
+    f = _member_poly(field, FamilyMember(a))
+    deriv = f.derivative()
+    if deriv.degree < 1:
+        return
+    chi = UniPoly(field, _charpoly(field.rows(), _multiplication_matrix(f, deriv)))
+    for a0 in field.indices():
+        at_shift = chi.eval(field.neg(a0)) == 0
+        assert at_shift == (resultant(_member_poly(field, FamilyMember(a), a0), deriv) == 0)
