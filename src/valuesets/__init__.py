@@ -13,7 +13,6 @@ from .bounds import (
     average_bound_applicable,
     average_error_bound,
     average_error_bound_linear,
-    average_error_bound_symmetric,
     family_size_bracket,
     interp_count_error_bound,
     value_set_term_profile,
@@ -25,13 +24,7 @@ from .diagnostics import (
     check_regularity,
     check_regularity_at_infinity,
 )
-from .engine import (
-    average_value_set,
-    count_interpolating_sets,
-    generic_density,
-    summarize,
-    value_set_size,
-)
+from .engine import ScanResult, generic_density, scan_family, value_set_size
 from .exprs import parse_poly_expr, poly_to_expr
 from .families import (
     FamilySpec,
@@ -40,8 +33,8 @@ from .families import (
     linear_family,
     symmetric_family,
 )
-from .ffield import Field, Fq, field_enumerate, field_new
-from .incidence import collect, count_distinct_tuples, count_hermite_tuples
+from .ffield import Field, field_new
+from .incidence import collect, hermite_profile
 from .multipoly import MultiPoly
 from .unipoly import UniPoly, discriminant, resultant
 
@@ -52,36 +45,31 @@ __all__ = [
     "ExperimentConfig",
     "FamilySpec",
     "Field",
-    "Fq",
     "MultiPoly",
+    "ScanResult",
     "UniPoly",
     "average_bound_applicable",
     "average_error_bound",
     "average_error_bound_linear",
-    "average_error_bound_symmetric",
-    "average_value_set",
     "build_family",
     "check_discriminant_loci",
     "check_regularity",
     "check_regularity_at_infinity",
     "collect",
-    "count_distinct_tuples",
-    "count_hermite_tuples",
-    "count_interpolating_sets",
     "discriminant",
     "enumerate_family",
     "family_cardinality",
     "family_size_bracket",
-    "field_enumerate",
     "field_new",
     "generic_density",
+    "hermite_profile",
     "interp_count_error_bound",
     "linear_family",
     "parse_config",
     "parse_poly_expr",
     "poly_to_expr",
     "resultant",
-    "summarize",
+    "scan_family",
     "symmetric_family",
     "value_set_size",
     "value_set_term_profile",

@@ -220,14 +220,6 @@ def average_error_bound_linear(d, q):
     return term1.plus(term2)
 
 
-def average_error_bound_symmetric(d, m, degrees, q):
-    """Allowance for composed-symmetric constraints: same shape as the general
-    bound, keyed to the composed constraint degrees.  Valid when the
-    characteristic does not divide d*(d-1) and the shape count s satisfies
-    m <= s <= d-m-4."""
-    return average_error_bound(d, m, degrees, q)
-
-
 def average_bound_applicable(d, m, degrees, q):
     """Conservative check of the headline theorem's q threshold."""
     return q > d >= m + 2 and size_threshold_ok(degrees, q)

@@ -11,7 +11,8 @@ reads the scan), and emit a CSV row plus a human-readable summary.
 
 Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.  `workers` sets
-the number of slices; the pool holds at most one process per CPU.
+the number of slices, at most one per index the enumerator walks; the pool
+holds at most one process per slice and per CPU.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .bounds import (
     average_bound_applicable,
     average_error_bound,
     average_error_bound_linear,
-    average_error_bound_symmetric,
     interp_count_error_bound,
 )
 from .config import ExperimentConfig, build_family, parse_config, validate_config
@@ -38,7 +38,6 @@ from .engine import (
     count_interpolating_sets_direct,
     generic_density,
     scan_family,
-    summarize,
 )
 from .errors import BudgetExceeded, EmptyFamily, IdentityViolation
 from .exprs import parse_poly_expr  # noqa: F401  constraint-ingestion entry point
@@ -69,11 +68,12 @@ def _scan_slice(args):
 
 
 def _gather(spec, workers):
-    if workers == 1:
+    slices = min(workers, spec.space_size())
+    if slices <= 1:
         return scan_family(spec)
-    ranges = partition_ranges(spec.space_size(), workers)
+    ranges = partition_ranges(spec.space_size(), slices)
     jobs = [(spec, i, rng) for i, rng in enumerate(ranges)]
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=min(slices, os.cpu_count() or 1)) as pool:
         parts = sorted(pool.map(_scan_slice, jobs), key=lambda t: t[0])
     scan = ScanResult.empty(spec.d)
     for _, part in parts:
@@ -138,24 +138,22 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
         raise EmptyFamily(f"family {family_id} has no members over F_{q}")
     star, coinc = scan.tuple_profile(r_max)
     check_identities(scan, star, coinc, r_max, family_id)
-    summary = summarize(spec, r_max, scan=scan)
+    average = Fraction(scan.sum_values, scan.member_count)
     notes = _oracle_stages(spec, scan, star, coinc, r_max, config.oracle_budget)
 
     mu = generic_density(d)
     mu_q = mu * q
-    deviation = abs(summary.average - mu_q)
+    deviation = abs(average - mu_q)
     degrees = spec.degrees
     # the linear and symmetric allowances both need p to not divide d(d-1)
     tame = (d * (d - 1)) % config.p != 0
     if config.kind == "linear" and tame:
         bound = average_error_bound_linear(d, q)
         bound_kind = "linear"
-    elif config.kind == "symmetric" and tame:
-        bound = average_error_bound_symmetric(d, m, degrees, q)
-        bound_kind = "symmetric"
     else:
+        # the symmetric allowance has the general formula
         bound = average_error_bound(d, m, degrees, q)
-        bound_kind = "general"
+        bound_kind = "symmetric" if config.kind == "symmetric" and tame else "general"
     satisfied = bound.covers(deviation)
     applicable = average_bound_applicable(d, m, degrees, q)
 
@@ -170,9 +168,9 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
         "m": str(m),
         "family_id": family_id,
         "family_size": str(scan.member_count),
-        "avg_value_set_num": str(summary.average.numerator),
-        "avg_value_set_den": str(summary.average.denominator),
-        "avg_value_set": format_rational(summary.average),
+        "avg_value_set_num": str(average.numerator),
+        "avg_value_set_den": str(average.denominator),
+        "avg_value_set": format_rational(average),
         "mu_d_q_num": str(mu_q.numerator),
         "mu_d_q_den": str(mu_q.denominator),
         "mu_d_q": format_rational(mu_q),
@@ -185,7 +183,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
         "diagnostics": ";".join(f"{rep.check}={rep.status}" for rep in diagnostics),
     }
     for r in range(1, r_max + 1):
-        row[f"S_{r}"] = format_count(summary.interpolating_counts[r])
+        row[f"S_{r}"] = format_count(scan.interpolating_count(r))
         row[f"gamma_identity_{r}"] = "ok"
 
     lines = [
@@ -196,8 +194,8 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     exprs = config.shapes if config.kind == "symmetric" else config.forms
     lines.append("constraints: " + "; ".join(exprs))
     lines.append(
-        f"average value set: {summary.average.numerator}/{summary.average.denominator}"
-        f" = {format_rational(summary.average)}"
+        f"average value set: {average.numerator}/{average.denominator}"
+        f" = {format_rational(average)}"
     )
     lines.append(
         f"reference density: mu_{d}*q = {mu_q.numerator}/{mu_q.denominator}"
@@ -213,7 +211,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
         f"{'yes' if applicable else 'no'}"
     )
     for r in range(1, r_max + 1):
-        s_r = summary.interpolating_counts[r]
+        s_r = scan.interpolating_count(r)
         target = Fraction(q ** (d - m), factorial(r))
         gap = abs(Fraction(s_r) - target)
         allowance = interp_count_error_bound(d, m, degrees, r, q)
@@ -284,7 +282,10 @@ def main(argv=None) -> int:
     runp.add_argument(
         "--oracle-budget", type=int, dest="oracle_budget", help="override run.oracle_budget"
     )
-    runp.add_argument("--seed-check", action="store_true", dest="seed_check")
+    # SUPPRESS keeps the subparser from resetting a flag given before `run`
+    runp.add_argument(
+        "--seed-check", action="store_true", dest="seed_check", default=argparse.SUPPRESS
+    )
     args = parser.parse_args(argv)
 
     if args.command is None:

@@ -28,8 +28,9 @@ locus (chi(-a_0) is Res(f + a_0, f') up to a unit), and a gcd is needed
 only at a multiple root of chi, for the second.  When f' = 0 every shift
 lies in both loci; when f' is a nonzero constant none does.
 
-All aggregates are exact big integers; averages are exact Fractions.  The
-literal subset-enumeration oracle for S_r survives behind a work budget.
+`ScanResult` is the result: every aggregate is an exact big integer, and
+the average value-set size is the exact Fraction(sum_values, member_count).
+The literal subset-enumeration oracle for S_r survives behind a work budget.
 """
 
 from collections import Counter
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, perm
 
-from .errors import BudgetExceeded, EmptyFamily, ParameterRange
+from .errors import BudgetExceeded, ParameterRange
 from .families import enumerate_family, family_cardinality, filter_family
 
 DEFAULT_ORACLE_BUDGET = 5_000_000
@@ -386,47 +387,6 @@ def scan_family(spec, partition=None):
         )
         _repeated_root_profile(field, member.a, result.loci, result.witnesses)
     return result
-
-
-@dataclass
-class ValueSetSummary:
-    member_count: int
-    sum_values: int
-    average: Fraction
-    interpolating_counts: dict  # r -> S_r for r = 1..r_max
-
-
-def summarize(spec, r_max=None, scan=None):
-    """Full family summary; r_max defaults to the degree."""
-    if r_max is None:
-        r_max = spec.d
-    if not 1 <= r_max:
-        raise ParameterRange(f"need r_max >= 1, got {r_max}")
-    if scan is None:
-        scan = scan_family(spec)
-    if scan.member_count == 0:
-        raise EmptyFamily(f"no members: {spec!r}")
-    return ValueSetSummary(
-        scan.member_count,
-        scan.sum_values,
-        Fraction(scan.sum_values, scan.member_count),
-        {r: scan.interpolating_count(r) for r in range(1, r_max + 1)},
-    )
-
-
-def average_value_set(spec):
-    """Exact rational mean of V(f) over the family."""
-    scan = scan_family(spec)
-    if scan.member_count == 0:
-        raise EmptyFamily(f"no members: {spec!r}")
-    return Fraction(scan.sum_values, scan.member_count)
-
-
-def count_interpolating_sets(spec, r):
-    """S_r by the histogram fast path."""
-    if r < 1:
-        raise ParameterRange(f"need r >= 1, got {r}")
-    return scan_family(spec).interpolating_count(r)
 
 
 def oracle_members(spec, cost_per_member, budget, label, member_count=None):

@@ -5,9 +5,7 @@ is the residue itself.  For an extension field F_p[x]/(m) the index encodes
 the coordinate vector (c_0, ..., c_{s-1}) in base p with c_0 (the constant
 coordinate) least significant, so enumeration order starts at 0 and is a
 plain base-p counter.  Counting kernels elsewhere in the package work on raw
-indices through the lookup rows of `Field.rows()`, the same for every field;
-`Fq` wraps an index with its field and adds operator sugar for tests and
-interactive use.
+indices through the lookup rows of `Field.rows()`, the same for every field.
 
 All arithmetic is exact; Python integers never overflow.
 """
@@ -167,32 +165,8 @@ class Field:
             idx //= self.p
         return tuple(out)
 
-    def from_coords(self, coords) -> "Fq":
-        coords = [c % self.p for c in coords]
-        if len(coords) > self.s:
-            raise DegreeMismatch(f"{len(coords)} coordinates for degree {self.s}")
-        coords += [0] * (self.s - len(coords))
-        idx = 0
-        for c in reversed(coords):
-            idx = idx * self.p + c
-        return Fq(self, idx)
-
-    def element(self, n: int) -> "Fq":
-        return Fq(self, self.scalar(n))
-
-    @property
-    def zero(self) -> "Fq":
-        return Fq(self, 0)
-
-    @property
-    def one(self) -> "Fq":
-        return Fq(self, 1)
-
     def indices(self) -> range:
         return range(self.q)
-
-    def elements(self) -> list:
-        return [Fq(self, i) for i in range(self.q)]
 
     def __eq__(self, other):
         return (
@@ -362,11 +336,6 @@ def field_new(p: int, s: int = 1, modulus=None) -> Field:
     return ExtensionField(p, s, modulus)
 
 
-def field_enumerate(field: Field) -> list:
-    """All q elements, base-p counter order, zero first."""
-    return field.elements()
-
-
 def embedding_table(sub: Field, sup: Field) -> list[int]:
     """Index table for the canonical embedding of `sub` into `sup`.
 
@@ -404,84 +373,3 @@ def embedding_table(sub: Field, sup: Field) -> list[int]:
             acc = sup.add(acc, sup.mul(sup.scalar(c), w))
         table.append(acc)
     return table
-
-
-class Fq:
-    """A field element: canonical index plus owning field."""
-
-    __slots__ = ("field", "idx")
-
-    def __init__(self, field: Field, idx: int):
-        self.field = field
-        self.idx = idx
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return self.field.coords(self.idx)
-
-    def is_zero(self) -> bool:
-        return self.idx == 0
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Fq):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.idx
-        if isinstance(other, int):
-            return self.field.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.add(self.idx, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.sub(self.idx, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.sub(b, self.idx))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.mul(self.idx, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fq(self.field, self.field.mul(self.idx, self.field.inv(b)))
-
-    def __neg__(self):
-        return Fq(self.field, self.field.neg(self.idx))
-
-    def __pow__(self, e: int):
-        return Fq(self.field, self.field.pow(self.idx, e))
-
-    def __eq__(self, other):
-        if isinstance(other, Fq):
-            return self.field == other.field and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == self.field.scalar(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.idx))
-
-    def __repr__(self):
-        if self.field.s == 1:
-            return f"Fq({self.idx} mod {self.field.p})"
-        return f"Fq{self.coords} in {self.field!r}"

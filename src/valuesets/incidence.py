@@ -50,16 +50,6 @@ class IncidenceCounts:
     coincident: int
 
 
-def count_distinct_tuples(spec, r, scan=None):
-    """Ordered pairwise-distinct root tuples, by falling factorials of the
-    per-(member, shift) root counts."""
-    if r < 1:
-        raise ParameterRange(f"need r >= 1, got {r}")
-    if scan is None:
-        scan = scan_family(spec)
-    return scan.distinct_tuple_count(r)
-
-
 def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
     d = len(coeffs) - 1
 
@@ -117,10 +107,6 @@ def hermite_profile(spec, r_max, order=None):
         coeffs = [0] + list(reversed(member.a)) + [1]
         _profile_member(add, mul, coeffs, r_max, star, coinc, order)
     return star[1:], coinc[1:]
-
-
-def count_hermite_tuples(spec, r, **kw):
-    return hermite_profile(spec, r, **kw)[0][r - 1]
 
 
 def check_identities(scan, star, coinc, r_max, label):

@@ -9,7 +9,6 @@ from valuesets.bounds import (
     average_bound_applicable,
     average_error_bound,
     average_error_bound_linear,
-    average_error_bound_symmetric,
     constants,
     family_size_bracket,
     interp_count_error_bound,
@@ -158,12 +157,6 @@ def test_linear_equals_main_at_unit_degrees():
             for m in (1, max(1, d - 2)):
                 main = average_error_bound(d, m, [1] * m, q)
                 assert lin.approx_equals(main), (d, q, m)
-
-
-def test_symmetric_bound_delegates_to_main_formula():
-    got = average_error_bound_symmetric(7, 1, [2], 49)
-    want = average_error_bound(7, 1, [2], 49)
-    assert got.approx_equals(want)
 
 
 def test_average_bound_applicable():

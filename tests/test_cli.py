@@ -13,7 +13,7 @@ from valuesets.config import build_family, parse_config
 from valuesets.engine import scan_family
 from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
-from valuesets.families import partition_ranges
+from valuesets.families import linear_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import hermite_profile
 from valuesets.report import format_magnitude, report_columns
@@ -106,10 +106,12 @@ def test_worker_counts_agree():
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the jobs it
+    is given, maps in-process."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, max_workers, jobs=None):
         sizes.append(max_workers)
+        self.jobs = jobs
 
     def __enter__(self):
         return self
@@ -118,16 +120,20 @@ class _InlinePool:
         return False
 
     def map(self, fn, jobs):
+        jobs = list(jobs)
+        if self.jobs is not None:
+            self.jobs.extend(jobs)
         return map(fn, jobs)
 
 
 @pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1), (128, 64)])
 def test_worker_pool_capped_at_cpu_count(monkeypatch, cpus, want):
-    # 64 slices still cut, but never more processes than CPUs
+    # 64 slices of the 121 members still cut, but never more processes
+    # than CPUs
     sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    text = SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0")
+    text = LINEAR_Q11.replace("oracle_budget = 200000", "oracle_budget = 0")
     serial = run_experiment(parse_config(text))
     fanned = parse_config(text)
     fanned.workers = 64
@@ -154,6 +160,20 @@ PINNED_Q13 = dedent(
     diag_extensions = 1
     """
 )
+
+
+def test_gather_cuts_at_most_one_slice_per_index(monkeypatch):
+    # 25 members: 10 000 workers cut 25 slices of one member each, not
+    # 10 000 slices that are nearly all empty
+    sizes, jobs = [], []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes, jobs=jobs))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    f5 = field_new(5)
+    spec = linear_family(f5, 4, 1, [parse_poly_expr("A3", f5, 3, coeff_variables(4))])
+    assert spec.space_size() == 25
+    assert cli._gather(spec, 10_000) == cli._gather(spec, 1)
+    assert len(jobs) == 25
+    assert sizes == [4]
 
 
 def test_pinned_family_workers_balanced_and_identical():
@@ -453,6 +473,19 @@ def test_main_missing_file_and_help(capsys):
 def test_main_seed_check(capsys):
     assert main(["--seed-check"]) == 0
     assert "identities hold" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("before_run", [True, False])
+def test_main_seed_check_with_run(tmp_path, capsys, before_run):
+    # the flag runs the check once whether it comes before or after `run`
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0"))
+    run = ["run", str(cfg_path)]
+    argv = ["--seed-check", *run] if before_run else [*run, "--seed-check"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("seed check: identities hold") == 1
+    assert "experiment " in out
 
 
 def test_expression_entry_point_examples():

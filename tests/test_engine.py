@@ -6,14 +6,13 @@ import pytest
 
 from valuesets.engine import (
     ScanResult,
-    average_value_set,
-    count_interpolating_sets,
     count_interpolating_sets_direct,
     generic_density,
     scan_family,
-    summarize,
     value_set_size,
 )
+from valuesets.cli import run_experiment
+from valuesets.config import parse_config
 from valuesets.errors import BudgetExceeded, EmptyFamily, ParameterRange
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import (
@@ -39,6 +38,11 @@ def constraint(text, field, d):
 def spec_a2_f5():
     # d=3, m=1, constraint A2 = 0 over F_5: members are T^3 + a1*T
     return linear_family(F5, 3, 1, [constraint("A2", F5, 3)])
+
+
+def average(spec):
+    scan = scan_family(spec)
+    return Fraction(scan.sum_values, scan.member_count)
 
 
 def test_value_set_size_examples():
@@ -82,7 +86,7 @@ def test_average_brute_force_oracle():
     total = 0
     for a1 in range(5):
         total += len({(c**3 + a1 * c) % 5 for c in range(5)})
-    assert average_value_set(spec) == Fraction(total, 5)
+    assert average(spec) == Fraction(total, 5)
 
 
 def test_average_of_singleton_family():
@@ -94,42 +98,46 @@ def test_average_of_singleton_family():
         [constraint("A3 - 1", F7, 4), constraint("A2 - 2", F7, 4), constraint("A1 - 3", F7, 4)],
     )
     f = UniPoly.of(F7, [0, 3, 2, 1, 1])
-    assert average_value_set(spec) == value_set_size(f)
+    assert average(spec) == value_set_size(f)
 
 
 def test_average_bounds():
     spec = linear_family(F7, 4, 1, [constraint("A3", F7, 4)])
-    avg = average_value_set(spec)
+    avg = average(spec)
     assert 1 <= avg <= 7
 
 
 def test_empty_family_raises():
+    # the scan of an empty family is the empty scan; the run refuses to
+    # divide by its zero member count
     spec = FamilySpec(F5, 3, 1, [MultiPoly.constant(F5, 2, 1)])
+    assert scan_family(spec) == ScanResult.empty(3)
+    text = "[field]\np = 5\n[family]\nkind = custom\nd = 3\nm = 1\nforms = A2^2 + 2\n"
     with pytest.raises(EmptyFamily):
-        average_value_set(spec)
-    with pytest.raises(EmptyFamily):
-        summarize(spec)
+        run_experiment(parse_config(text))
 
 
 def test_s1_is_family_size_times_q():
     for spec in [spec_a2_f5(), linear_family(F7, 4, 1, [constraint("A3 - 1", F7, 4)])]:
         members = sum(1 for _ in enumerate_family(spec))
-        assert count_interpolating_sets(spec, 1) == members * spec.field.q
+        assert scan_family(spec).interpolating_count(1) == members * spec.field.q
 
 
 def test_s_r_zero_beyond_degree():
-    spec = spec_a2_f5()
+    scan = scan_family(spec_a2_f5())
     for r in range(4, 8):
-        assert count_interpolating_sets(spec, r) == 0
+        assert scan.interpolating_count(r) == 0
 
 
 def test_s_r_direct_matches_fast():
     spec = spec_a2_f5()
+    scan = scan_family(spec)
     for r in (1, 2, 3):
-        assert count_interpolating_sets_direct(spec, r) == count_interpolating_sets(spec, r)
+        assert count_interpolating_sets_direct(spec, r) == scan.interpolating_count(r)
     quad = FamilySpec(F5, 4, 1, [constraint("A3^2 - A2", F5, 4)])
+    scan = scan_family(quad)
     for r in (1, 2, 3, 4):
-        assert count_interpolating_sets_direct(quad, r) == count_interpolating_sets(quad, r)
+        assert count_interpolating_sets_direct(quad, r) == scan.interpolating_count(r)
 
 
 def test_s_2_pure_integer_oracle():
@@ -140,7 +148,7 @@ def test_s_2_pure_integer_oracle():
             for a0 in range(5):
                 if (x**3 + a1 * x + a0) % 5 == 0 and (y**3 + a1 * y + a0) % 5 == 0:
                     want += 1
-    assert count_interpolating_sets(spec_a2_f5(), 2) == want
+    assert scan_family(spec_a2_f5()).interpolating_count(2) == want
 
 
 def test_direct_budget_guard():
@@ -161,19 +169,18 @@ def test_inclusion_exclusion_exact():
         alternating = sum(
             (-1) ** (r - 1) * scan.interpolating_count(r) for r in range(1, spec.d + 1)
         )
-        assert Fraction(alternating, scan.member_count) == average_value_set(spec)
+        assert alternating == scan.sum_values
 
 
 def test_summary_fields():
     spec = spec_a2_f5()
-    summary = summarize(spec)
-    assert summary.member_count == 5
-    assert sorted(summary.interpolating_counts) == [1, 2, 3]
-    assert summary.average == Fraction(summary.sum_values, 5)
+    scan = scan_family(spec)
+    assert scan.member_count == 5
+    assert len(scan.profile) == spec.d + 1
     # the histogram sum equals V(f) computed member by member
     members = list(enumerate_family(spec))
     assert len(members) == 5
-    assert summary.sum_values == sum(
+    assert scan.sum_values == sum(
         value_set_size(UniPoly(F5, [0] + list(reversed(member.a)) + [1]))
         for member in members
     )

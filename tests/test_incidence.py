@@ -11,9 +11,7 @@ from valuesets.ffield import field_new
 from valuesets.incidence import (
     IncidenceCounts,
     collect,
-    count_distinct_tuples,
     count_distinct_tuples_oracle,
-    count_hermite_tuples,
     count_hermite_tuples_oracle,
     hermite_profile,
 )
@@ -45,13 +43,14 @@ def test_r1_counts():
         star, coinc = hermite_profile(spec, 1)
         assert star == [members * q]
         assert coinc == [0]
-        assert count_distinct_tuples(spec, 1) == members * q
+        assert scan_family(spec).distinct_tuple_count(1) == members * q
 
 
 def test_distinct_matches_raw_enumeration():
     for spec, rs in [(spec_a2_f5(), (1, 2, 3)), (quad_spec(F5, 4), (1, 2, 3))]:
+        scan = scan_family(spec)
         for r in rs:
-            assert count_distinct_tuples(spec, r) == count_distinct_tuples_oracle(spec, r)
+            assert scan.distinct_tuple_count(r) == count_distinct_tuples_oracle(spec, r)
 
 
 def test_hermite_matches_division_oracle():
@@ -76,9 +75,10 @@ def test_subtraction_identity_and_collect():
 
 def test_orbit_identity_against_direct_subset_oracle():
     spec = spec_a2_f5()
+    scan = scan_family(spec)
     for r in (1, 2, 3):
-        assert factorial(r) * count_interpolating_sets_direct(spec, r) == count_distinct_tuples(
-            spec, r
+        assert factorial(r) * count_interpolating_sets_direct(spec, r) == (
+            scan.distinct_tuple_count(r)
         )
 
 
@@ -97,7 +97,8 @@ def test_double_root_confluent_pairs():
     assert want >= 1  # a_0 = 0, beta = 1 at least
     assert hermite_profile(spec, 2)[1][1] == want
     # the confluent pair is a hermite tuple but not a distinct tuple
-    assert count_hermite_tuples(spec, 2) == count_distinct_tuples(spec, 2) + want
+    hermite = hermite_profile(spec, 2)[0][1]
+    assert hermite == scan_family(spec).distinct_tuple_count(2) + want
 
 
 def test_counts_vanish_beyond_degree():

@@ -10,7 +10,7 @@ methods and `UniPoly`:
   and its multiplicity patterns against repeated division by (T - c);
 - the scan's hermite and coincident counts against the prefix DFS
   (`hermite_profile`) for r <= d, and slice scans merged against the full
-  scan;
+  scan, and worker-pool scans at 2 and 3 workers against the serial scan;
 - the prefix DFS against the division oracle for r <= 3, wherever the
   oracle's cost fits its budget;
 - the per-member repeated-root counts, and the scan's loci counts and
@@ -33,6 +33,7 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valuesets import cli
 from valuesets.engine import (
     _charpoly,
     _repeated_root_profile,
@@ -155,6 +156,15 @@ def test_slice_scans_merge_to_full_scan(spec, parts):
     merged = reduce(lambda a, b: a.merge(b), slices)
     assert merged.patterns == full.patterns
     assert merged == full
+
+
+@settings(max_examples=20, deadline=None)
+@given(any_families)
+def test_worker_scans_equal_serial_scan(spec):
+    # the scan is the only part of a run that depends on the worker count
+    serial = cli._gather(spec, 1)
+    for workers in (2, 3):
+        assert cli._gather(spec, workers) == serial
 
 
 @settings(max_examples=60, deadline=None)

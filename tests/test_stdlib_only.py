@@ -1,11 +1,14 @@
 """The package promises a stdlib-only runtime: every absolute import in
-src/valuesets names a standard-library module."""
+src/valuesets names a standard-library module.  Its public surface is
+`valuesets.__all__`, and every name listed there resolves."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import valuesets
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "valuesets"
 
@@ -27,3 +30,9 @@ def test_imports_are_stdlib(path):
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_all_names_resolve():
+    missing = [name for name in valuesets.__all__ if not hasattr(valuesets, name)]
+    assert not missing
+    assert len(set(valuesets.__all__)) == len(valuesets.__all__)
