@@ -181,9 +181,6 @@ class LogMagnitude:
         lc = log(count)
         return lc <= self.ln + self._slack() + _REL_SLACK * (1.0 + abs(lc))
 
-    def approx_equals(self, other):
-        return abs(self.ln - other.ln) <= self._slack() + other._slack()
-
     def log10(self):
         return self.ln / log(10)
 

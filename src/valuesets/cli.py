@@ -28,7 +28,6 @@ from pathlib import Path
 from .bounds import (
     average_bound_applicable,
     average_error_bound,
-    average_error_bound_linear,
     interp_count_error_bound,
 )
 from .config import ExperimentConfig, build_family, parse_config, validate_config
@@ -145,15 +144,12 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     mu_q = mu * q
     deviation = abs(average - mu_q)
     degrees = spec.degrees
-    # the linear and symmetric allowances both need p to not divide d(d-1)
+    # one formula for every kind: the linear allowance is the general one at
+    # unit degrees, bit for bit; the linear and symmetric labels need p to
+    # not divide d(d-1)
+    bound = average_error_bound(d, m, degrees, q)
     tame = (d * (d - 1)) % config.p != 0
-    if config.kind == "linear" and tame:
-        bound = average_error_bound_linear(d, q)
-        bound_kind = "linear"
-    else:
-        # the symmetric allowance has the general formula
-        bound = average_error_bound(d, m, degrees, q)
-        bound_kind = "symmetric" if config.kind == "symmetric" and tame else "general"
+    bound_kind = config.kind if tame and config.kind != "custom" else "general"
     satisfied = bound.covers(deviation)
     applicable = average_bound_applicable(d, m, degrees, q)
 
@@ -259,7 +255,22 @@ def seed_check() -> int:
     except IdentityViolation as exc:
         print(f"seed check failed: {exc}", file=sys.stderr)
         return 3
-    print("seed check: identities hold on the built-in family")
+    return _emit("seed check: identities hold on the built-in family\n")
+
+
+def _emit(text) -> int:
+    """Write text to stdout now: 0, or 2 with one `I/O error:` line when
+    stdout is closed or fails.  stdout is then pointed at devnull, as the
+    `signal` module docs advise, so the flush at exit cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -329,8 +340,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.to_summary())
-    return 0
+    return _emit(report.to_summary())
 
 
 if __name__ == "__main__":

@@ -90,11 +90,11 @@ def _walk_rank(spec: FamilySpec):
     first_bad = None
     for member in enumerate_family(spec):
         points += 1
-        rows = [[pg.eval(member.a) for pg in row] for row in jac_rows]
+        rows = [[pg.eval(member) for pg in row] for row in jac_rows]
         if rank(spec.field, rows) < spec.m:
             deficient += 1
             if first_bad is None:
-                first_bad = member.a
+                first_bad = member
     return points, deficient, first_bad
 
 

@@ -382,10 +382,8 @@ def scan_family(spec, partition=None):
     field = spec.field
     for member in enumerate_family(spec, partition):
         result.member_count += 1
-        result.sum_values += _member_histogram(
-            field, member.a, result.profile, result.patterns
-        )
-        _repeated_root_profile(field, member.a, result.loci, result.witnesses)
+        result.sum_values += _member_histogram(field, member, result.profile, result.patterns)
+        _repeated_root_profile(field, member, result.loci, result.witnesses)
     return result
 
 
@@ -427,7 +425,7 @@ def count_interpolating_sets_direct(
                 ok = True
                 for x in subset:
                     acc = 1
-                    for coef in member.a:
+                    for coef in member:
                         acc = add(mul(acc, x), coef)
                     acc = add(mul(acc, x), a0)
                     if acc:

@@ -68,7 +68,8 @@ class ParseError(ValueError):
         self.line = line
         self.col = col
         if line is not None:
-            message = f"line {line}, col {col}: {message}"
+            where = f"line {line}" if col is None else f"line {line}, col {col}"
+            message = f"{where}: {message}"
         super().__init__(message)
 
 

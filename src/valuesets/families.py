@@ -1,37 +1,40 @@
 """Families of monic degree-d polynomials cut out by coefficient constraints.
 
-A family member is the coefficient vector (a_{d-1}, ..., a_1), descending,
-with the constant coefficient normalized to 0.  Constraint polynomials live
-in d-1 variables where variable index 0 is the a_{d-1} slot.
+A family member is the plain tuple (a_{d-1}, ..., a_1) of field indices,
+descending, with the constant coefficient normalized to 0.  Constraint
+polynomials live in d-1 variables where variable index 0 is the a_{d-1}
+slot.
 
 Members are listed in one fixed order on either of two paths: ascending
 lexicographic order of the coefficient vector, a_1 moving fastest and each
-coordinate in field index order.
+coordinate in field index order.  Both paths walk one odometer,
+`islice(product(range(q), repeat=width), lo, hi)`, whose last coordinate
+moves fastest, and evaluate polynomials only through `MultiPoly.eval`.
 
 - The candidate filter (`filter_family`) walks all q^(d-1) candidate
-  vectors as an odometer and keeps those on which every constraint
-  vanishes.  It serves any family, and the oracles use it as the
-  independent reference for the direct path.
+  vectors and keeps those on which every constraint vanishes.  It serves
+  any family, and the oracles use it as the independent reference for the
+  direct path.
 - Every `FamilySpec` tries, once at build time, to solve its constraints
   from the right: the rightmost coordinate A_j that a remaining constraint
   involves is solved from a constraint c*A_j + h with c a nonzero constant
-  and A_j absent from h, and the rule A_j = -h/c is substituted into the
-  other constraints.  Each rule then reads only coordinates to its left.
-  A linear system of full rank always solves this way; so do graph forms
-  such as A2 + g(A4, A3) or A2 - A3^2.  A solved family is walked directly
-  over the q^(free) assignments of its free coordinates, as an odometer
-  with a_1 fastest, and the pivots are filled in ascending order.  Two
-  members first differ at a free coordinate (each pivot is determined by
-  the coordinates before it), so this is the filter's order.  Anything else
-  stays on the filter: a constraint that reduces to a constant, or a step
-  where no constraint holds its rightmost coordinate in one clean term (a
-  rule would have to read a coordinate to its right).
+  and A_j absent from h, and the rule A_j = -h/c, a `MultiPoly`, is
+  substituted into the other constraints.  Each rule then reads only
+  coordinates to its left.  A linear system of full rank always solves
+  this way; so do graph forms such as A2 + g(A4, A3) or A2 - A3^2.  A
+  solved family is walked directly over the q^(free) assignments of its
+  free coordinates, and each pivot a_j is set to its rule's value, in
+  ascending j.  Two members first differ at a free coordinate (each pivot
+  is determined by the coordinates before it), so this is the filter's
+  order.  Anything else stays on the filter: a constraint that reduces to
+  a constant, or a step where no constraint holds its rightmost coordinate
+  in one clean term (a rule would have to read a coordinate to its right).
 
 `FamilySpec.space_size()` is the size of the index space `enumerate_family`
 walks, and a (lo, hi) slice of it is a clean unit of parallel work.
 """
 
-from typing import NamedTuple
+from itertools import islice, product
 
 from .errors import (
     ArityMismatch,
@@ -41,10 +44,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .multipoly import MultiPoly, elementary_symmetric, weighted_compose
-
-
-class FamilyMember(NamedTuple):
-    a: tuple  # (a_{d-1}, ..., a_1)
 
 
 class FamilySpec:
@@ -89,19 +88,6 @@ class FamilySpec:
         )
 
 
-def _digits(index, q, width):
-    """Base-q digits of index, most significant first."""
-    digits = [0] * width
-    for i in range(width - 1, -1, -1):
-        index, digits[i] = divmod(index, q)
-    return digits
-
-
-def candidate_at(spec, index):
-    """Decode a linear index into (a_{d-1}, ..., a_1); a_1 is the fast digit."""
-    return tuple(_digits(index, spec.field.q, spec.d - 1))
-
-
 def partition_ranges(total, parts):
     """Split [0, total) into `parts` disjoint covering (lo, hi) ranges."""
     if parts < 1:
@@ -131,16 +117,11 @@ def filter_family(spec, partition=None):
     indices.  This is the reference enumerator for every family kind.
     """
     constraints = spec.constraints
-    lo, hi = _check_partition(partition, spec.field.q ** (spec.d - 1))
-    for index in range(lo, hi):
-        a = candidate_at(spec, index)
-        ok = True
-        for g in constraints:
-            if g.eval(a):
-                ok = False
-                break
-        if ok:
-            yield FamilyMember(a)
+    q, width = spec.field.q, spec.d - 1
+    lo, hi = _check_partition(partition, q**width)
+    for a in islice(product(range(q), repeat=width), lo, hi):
+        if not any(g.eval(a) for g in constraints):
+            yield a
 
 
 def enumerate_family(spec, partition=None):
@@ -154,16 +135,15 @@ def enumerate_family(spec, partition=None):
     if spec.solution is None:
         yield from filter_family(spec, partition)
         return
-    field = spec.field
-    rows = field.rows()
     free, rules = spec.solution
     lo, hi = _check_partition(partition, spec.space_size())
     a = [0] * (spec.d - 1)
-    for index in range(lo, hi):
-        for k, x in zip(free, _digits(index, field.q, len(free))):
+    for values in islice(product(range(spec.field.q), repeat=len(free)), lo, hi):
+        for k, x in zip(free, values):
             a[k] = x
-        _fill_pivots(rows, rules, a)
-        yield FamilyMember(tuple(a))
+        for j, rule in rules:
+            a[j] = rule.eval(a)
+        yield tuple(a)
 
 
 def family_cardinality(spec):
@@ -212,8 +192,7 @@ def _solve(field, n, constraints):
     None when a remaining constraint is constant (or zero) or no constraint
     holds A_j cleanly.  The rules come out in descending j; every constraint
     must reduce to the zero polynomial once they are substituted in that
-    order, and they are returned in ascending j, the order they are filled,
-    each compiled by `_compile_rule` for `_fill_pivots`.
+    order, and they are returned in ascending j, the order they are filled.
     """
     remaining = list(constraints)
     rules = []
@@ -240,30 +219,7 @@ def _solve(field, n, constraints):
             raise IdentityViolation(f"solved rules leave the constraint residue {g}")
     pivots = {j for j, _ in rules}
     free = tuple(k for k in range(n) if k not in pivots)
-    return free, tuple((j, _compile_rule(rule)) for j, rule in reversed(rules))
-
-
-def _compile_rule(rule):
-    """The terms of a rule as (coefficient, ((coordinate, exponent), ...))."""
-    return tuple(
-        (c, tuple((k, e) for k, e in enumerate(exps) if e))
-        for exps, c in rule.terms.items()
-    )
-
-
-def _fill_pivots(rows, rules, a):
-    """Set each pivot coordinate of a from the coordinates to its left, in
-    place, evaluating the compiled rules through the field's lookup rows."""
-    add, mul = rows[0], rows[1]
-    for j, terms in rules:
-        total = 0
-        for v, factors in terms:
-            for k, e in factors:
-                row = mul[a[k]]
-                for _ in range(e):
-                    v = row[v]
-            total = add[total][v]
-        a[j] = total
+    return free, tuple(reversed(rules))
 
 
 def symmetric_family(field, d, m, s, shapes):

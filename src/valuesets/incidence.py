@@ -104,7 +104,7 @@ def hermite_profile(spec, r_max, order=None):
     star = [0] * (r_max + 1)
     coinc = [0] * (r_max + 1)
     for member in enumerate_family(spec):
-        coeffs = [0] + list(reversed(member.a)) + [1]
+        coeffs = [0] + list(reversed(member)) + [1]
         _profile_member(add, mul, coeffs, r_max, star, coinc, order)
     return star[1:], coinc[1:]
 
@@ -201,7 +201,7 @@ def count_distinct_tuples_oracle(
                 ok = True
                 for x in nodes:
                     acc = 1
-                    for coef in member.a:
+                    for coef in member:
                         acc = add(mul(acc, x), coef)
                     if add(mul(acc, x), a0):
                         ok = False
@@ -222,7 +222,7 @@ def count_hermite_tuples_oracle(
     members = oracle_members(spec, q ** (r + 1), budget, "division oracle", member_count)
     total = 0
     for member in members:
-        base = [0] + list(reversed(member.a)) + [1]
+        base = [0] + list(reversed(member)) + [1]
         for a0 in field.indices():
             base[0] = a0
             f = UniPoly(field, base)

@@ -21,11 +21,12 @@ def _grlex_key(exps):
 
 
 class MultiPoly:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_factors")
 
     def __init__(self, field, nvars, terms=None):
         self.field = field
         self.nvars = nvars
+        self._factors = None
         clean = {}
         for exps, c in (terms or {}).items():
             if c:
@@ -114,19 +115,29 @@ class MultiPoly:
         return result
 
     def eval(self, point):
-        """Exact evaluation at a tuple of field element indices."""
+        """Exact evaluation at a sequence of field element indices.
+
+        The terms are read once into (coefficient, ((coordinate, exponent),
+        ...)) factor lists, kept for later calls.  Arithmetic goes through
+        the `Field` methods, with no `pow` call at exponent 1.
+        """
         if len(point) != self.nvars:
             raise ArityMismatch(f"point length {len(point)}, expected {self.nvars}")
+        factors = self._factors
+        if factors is None:
+            factors = self._factors = tuple(
+                (c, tuple((k, e) for k, e in enumerate(exps) if e))
+                for exps, c in self.terms.items()
+            )
         fld = self.field
+        add, mul, pow_ = fld.add, fld.mul, fld.pow
         total = 0
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                if e:
-                    v = fld.mul(v, fld.pow(x, e))
-                    if not v:
-                        break
-            total = fld.add(total, v)
+        for v, term in factors:
+            for k, e in term:
+                v = mul(v, point[k] if e == 1 else pow_(point[k], e))
+                if not v:
+                    break
+            total = add(total, v)
         return total
 
     def highest_form(self):

@@ -121,14 +121,6 @@ class UniPoly:
     def scale(self, c: int) -> "UniPoly":
         return UniPoly(self.field, [self.field.mul(c, a) for a in self.coeffs])
 
-    def shift(self, c: int) -> "UniPoly":
-        """f + c for a constant c."""
-        if not self.coeffs:
-            return UniPoly(self.field, [c])
-        out = list(self.coeffs)
-        out[0] = self.field.add(out[0], c)
-        return UniPoly(self.field, out)
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -486,6 +489,29 @@ def test_main_seed_check_with_run(tmp_path, capsys, before_run):
     out = capsys.readouterr().out
     assert out.count("seed check: identities hold") == 1
     assert "experiment " in out
+
+
+@pytest.mark.parametrize("seed_check", [False, True])
+def test_closed_stdout_is_an_io_error(tmp_path, seed_check):
+    # the read end of the pipe is closed before the CLI writes to it
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0"))
+    argv = ["--seed-check"] if seed_check else ["run", str(cfg_path)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "valuesets.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_expression_entry_point_examples():

@@ -107,6 +107,12 @@ def test_malformed_expression_reports_position():
     assert "col" in str(exc.value)
 
 
+def test_value_error_without_column_names_only_the_line():
+    with pytest.raises(ParseError) as exc:
+        parse_config(MINIMAL.replace("p = 7", "p = seven"))
+    assert str(exc.value) == "line 2: key field.p expects an integer, got 'seven'"
+
+
 def test_grammar_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         parse_config("p = 7\n")  # key outside any section

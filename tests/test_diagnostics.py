@@ -221,7 +221,7 @@ def test_loci_counts_match_resultant_definition():
     n1 = n2 = 0
     for member in enumerate_family(spec):
         for a0 in f3.indices():
-            f = UniPoly(f3, [a0] + list(reversed(member.a)) + [1])
+            f = UniPoly(f3, [a0] + list(reversed(member)) + [1])
             info = disc_info(f)
             if info.derivative_zero or info.disc == 0:
                 n1 += 1

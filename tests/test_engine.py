@@ -181,7 +181,7 @@ def test_summary_fields():
     members = list(enumerate_family(spec))
     assert len(members) == 5
     assert scan.sum_values == sum(
-        value_set_size(UniPoly(F5, [0] + list(reversed(member.a)) + [1]))
+        value_set_size(UniPoly(F5, [0] + list(reversed(member)) + [1]))
         for member in members
     )
 

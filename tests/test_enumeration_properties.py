@@ -7,10 +7,11 @@ and anything else is refused.  Custom draws mix graph forms
 c*A_j + h(coordinates left of j), linear forms over every slot (A1
 included) and arbitrary quadratics, and may or may not solve.  Either way
 the directly walked members must equal the filtered candidates as an
-ordered list, slices of the walked index space must concatenate to that
-list, and a solved family walks exactly its members.  The regularity check
-reads a solved family's points and Jacobian rank off its solution; over F_q
-and F_{q^2} that must equal the Jacobian ranked at every walked point.
+ordered list, slices of the walked index space and slices of the candidate
+space must each concatenate to that list, and a solved family walks
+exactly its members.  The regularity check reads a solved family's points
+and Jacobian rank off its solution; over F_q and F_{q^2} that must equal
+the Jacobian ranked at every walked point.
 """
 
 import pytest
@@ -65,6 +66,20 @@ def _form(field, nvars, row):
     return MultiPoly(field, nvars, terms)
 
 
+def _concatenated_slices(spec, parts):
+    """Each walk's `partition_ranges` slices, concatenated: the direct
+    enumerator's over space_size() and the filter's over the q^(d-1)
+    candidates."""
+    candidates = spec.field.q ** (spec.d - 1)
+    return [
+        [a for rng in partition_ranges(total, parts) for a in walk(spec, rng)]
+        for walk, total in (
+            (enumerate_family, spec.space_size()),
+            (filter_family, candidates),
+        )
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(linear_systems(), st.integers(1, 6))
 def test_direct_enumeration_matches_filter(system, parts):
@@ -83,10 +98,8 @@ def test_direct_enumeration_matches_filter(system, parts):
     direct = list(enumerate_family(spec))
     assert direct == list(filter_family(spec))
     assert len(direct) == spec.space_size() == field.q ** (d - 1 - m)
-    pieces = []
-    for rng in partition_ranges(spec.space_size(), parts):
-        pieces.extend(enumerate_family(spec, partition=rng))
-    assert pieces == direct
+    for pieces in _concatenated_slices(spec, parts):
+        assert pieces == direct
 
 
 def _monomials(draw, field, nvars, slots, max_degree, min_terms):
@@ -135,10 +148,8 @@ def test_solved_custom_enumeration_matches_filter(system, parts):
         assert len(direct) == spec.space_size()
     else:
         assert spec.space_size() == field.q ** (d - 1)
-    pieces = []
-    for rng in partition_ranges(spec.space_size(), parts):
-        pieces.extend(enumerate_family(spec, partition=rng))
-    assert pieces == direct
+    for pieces in _concatenated_slices(spec, parts):
+        assert pieces == direct
 
 
 @st.composite

@@ -13,7 +13,6 @@ from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.ffield import field_new
 from valuesets.families import (
     FamilySpec,
-    candidate_at,
     enumerate_family,
     family_cardinality,
     filter_family,
@@ -36,7 +35,7 @@ def test_linear_count_q5_d4():
     spec = linear_family(F5, 4, 1, [constraint("A3", F5, 4)])
     members = list(enumerate_family(spec))
     assert len(members) == 25
-    assert all(m.a[0] == 0 for m in members)
+    assert all(m[0] == 0 for m in members)
     assert family_cardinality(spec) == 25
 
 
@@ -52,7 +51,7 @@ def test_quadratic_constraint_count_f3():
     members = list(enumerate_family(spec))
     assert len(members) == 9
     for m in members:
-        a3, a2, a1 = m.a
+        a3, a2, a1 = m
         assert (a3 * a3 - a2) % 3 == 0
     assert family_cardinality(spec) == 9
 
@@ -61,11 +60,12 @@ def test_enumeration_order_and_decode():
     spec = linear_family(F3, 4, 1, [constraint("A3", F3, 4)])
     members = list(enumerate_family(spec))
     # a3 = 0 throughout; a1 is the fast digit
-    assert members[0].a == (0, 0, 0)
-    assert members[1].a == (0, 0, 1)
-    assert members[3].a == (0, 1, 0)
-    assert candidate_at(spec, 5) == (0, 1, 2)
-    assert candidate_at(spec, 9) == (1, 0, 0)
+    assert members[0] == (0, 0, 0)
+    assert members[1] == (0, 0, 1)
+    assert members[3] == (0, 1, 0)
+    # candidate index 5 decodes to (0, 1, 2), a member; 9 to (1, 0, 0), not one
+    assert list(filter_family(spec, (5, 6))) == [(0, 1, 2)]
+    assert list(filter_family(spec, (9, 10))) == []
 
 
 def test_members_satisfy_all_constraints():
@@ -75,7 +75,7 @@ def test_members_satisfy_all_constraints():
     count = 0
     for mem in enumerate_family(spec):
         count += 1
-        assert g1.eval(mem.a) == 0 and g2.eval(mem.a) == 0
+        assert g1.eval(mem) == 0 and g2.eval(mem) == 0
     assert count == family_cardinality(spec) == 5**3
 
 
@@ -186,7 +186,7 @@ def test_brute_force_cross_check_small():
         for a in itertools.product(range(5), repeat=3)
         if (a[0] * a[0] + a[1] * a[2] - 2) % 5 == 0
     ]
-    got = [m.a for m in enumerate_family(spec)]
+    got = list(enumerate_family(spec))
     assert got == want
 
 
@@ -210,7 +210,7 @@ def test_embedded_and_top_form_specs_solved():
     assert ext.solution is not None
     assert ext.space_size() == 169**3
     for mem in enumerate_family(ext, partition=(0, 50)):
-        assert ext.constraints[0].eval(mem.a) == 0
+        assert ext.constraints[0].eval(mem) == 0
 
 
 def test_rule_reading_to_the_right_stays_on_filter():

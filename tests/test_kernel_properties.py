@@ -40,7 +40,7 @@ from valuesets.engine import (
     scan_family,
     value_set_size,
 )
-from valuesets.families import FamilyMember, FamilySpec, filter_family, partition_ranges
+from valuesets.families import FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import count_hermite_tuples_oracle, hermite_profile
 from valuesets.linalg import det
@@ -98,7 +98,7 @@ any_families = st.booleans().flatmap(families)
 
 
 def _member_poly(field, member, a0=0):
-    return UniPoly(field, [a0] + list(reversed(member.a)) + [1])
+    return UniPoly(field, [a0] + list(reversed(member)) + [1])
 
 
 def _multiplicity(f, c):
@@ -192,7 +192,7 @@ def _gcd_loci(field, member):
             if g > i:
                 loci[i] += 1
                 if witnesses[i] is None:
-                    witnesses[i] = (*member.a, a0)
+                    witnesses[i] = (*member, a0)
     return loci, witnesses
 
 
@@ -202,7 +202,7 @@ def test_repeated_root_counts_match_gcd(spec):
     field = spec.field
     for member in filter_family(spec):
         loci, witnesses = [0, 0, 0], [None, None]
-        _repeated_root_profile(field, member.a, loci, witnesses)
+        _repeated_root_profile(field, member, loci, witnesses)
         assert (loci, witnesses) == _gcd_loci(field, member)
 
 
@@ -258,7 +258,7 @@ def test_sieve_matches_gcd_on_coefficient_tuples(drawn):
     field, a = drawn
     loci, witnesses = [0, 0, 0], [None, None]
     _repeated_root_profile(field, a, loci, witnesses)
-    assert (loci, witnesses) == _gcd_loci(field, FamilyMember(a))
+    assert (loci, witnesses) == _gcd_loci(field, a)
 
 
 @st.composite
@@ -302,11 +302,11 @@ def _multiplication_matrix(r, h):
 @given(member_tuples())
 def test_charpoly_roots_are_resultant_zeros(drawn):
     field, a = drawn
-    f = _member_poly(field, FamilyMember(a))
+    f = _member_poly(field, a)
     deriv = f.derivative()
     if deriv.degree < 1:
         return
     chi = UniPoly(field, _charpoly(field.rows(), _multiplication_matrix(f, deriv)))
     for a0 in field.indices():
         at_shift = chi.eval(field.neg(a0)) == 0
-        assert at_shift == (resultant(_member_poly(field, FamilyMember(a), a0), deriv) == 0)
+        assert at_shift == (resultant(_member_poly(field, a, a0), deriv) == 0)

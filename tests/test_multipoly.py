@@ -1,6 +1,9 @@
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valuesets.errors import ArityMismatch, ZeroPolynomial
 from valuesets.ffield import field_new
@@ -173,3 +176,34 @@ def test_sorted_terms_graded_lex():
     g = MultiPoly.constant(F5, 2, 1) + b + a + b**2 + a * b + a**2
     order = [e for e, _ in g.sorted_terms()]
     assert order == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
+
+
+# prime and extension fields; F_512 is past the size that gets lookup tables
+EVAL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4), (2, 9)]
+
+
+@st.composite
+def polys_and_points(draw):
+    field = field_new(*draw(st.sampled_from(EVAL_FIELDS)))
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 5)] * nvars)
+    terms = draw(st.dictionaries(exps, st.integers(0, field.q - 1), max_size=5))
+    point = draw(st.tuples(*[st.integers(0, field.q - 1)] * nvars))
+    return field, MultiPoly(field, nvars, terms), point
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_points())
+def test_eval_matches_term_by_term_sum(drawn):
+    field, g, point = drawn
+    want = 0
+    for exps, c in g.terms.items():
+        v = c
+        for x, e in zip(point, exps):
+            v = field.mul(v, field.pow(x, e))
+        want = field.add(want, v)
+    shipped = pickle.loads(pickle.dumps(g))
+    assert g.eval(point) == want
+    assert g.eval(point) == want  # second call reads the kept factor lists
+    assert shipped.eval(point) == want
+    assert pickle.loads(pickle.dumps(g)).eval(point) == want
