@@ -11,8 +11,9 @@ reads the scan), and emit a CSV row plus a human-readable summary.
 
 Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.  `workers` sets
-the number of slices, at most one per index the enumerator walks; the pool
-holds at most one process per slice and per CPU.
+the number of slices, at most one per index the enumerator walks and at
+most four per pool process; the pool holds at most one process per slice
+and per CPU.
 """
 
 from __future__ import annotations
@@ -66,13 +67,20 @@ def _scan_slice(args):
     return index, scan_family(spec, index_range)
 
 
+# slices cut per pool process, at most; each slice is a pickled spec and a
+# pool task, so beyond a few per process they cost more than they balance
+SLICES_PER_PROCESS = 4
+
+
 def _gather(spec, workers):
     slices = min(workers, spec.space_size())
     if slices <= 1:
         return scan_family(spec)
+    processes = min(slices, os.cpu_count() or 1)
+    slices = min(slices, SLICES_PER_PROCESS * processes)
     ranges = partition_ranges(spec.space_size(), slices)
     jobs = [(spec, i, rng) for i, rng in enumerate(ranges)]
-    with ProcessPoolExecutor(max_workers=min(slices, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         parts = sorted(pool.map(_scan_slice, jobs), key=lambda t: t[0])
     scan = ScanResult.empty(spec.d)
     for _, part in parts:

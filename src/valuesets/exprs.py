@@ -196,12 +196,3 @@ def poly_to_expr(g, names):
         else:
             parts.append(str(c) + "*" + "*".join(vars_part))
     return " + ".join(parts)
-
-
-def coeff_names(d):
-    """Printer name list matching coeff_variables(d): index 0 -> A{d-1}."""
-    return [f"A{j}" for j in range(d - 1, 0, -1)]
-
-
-def symmetric_names(s):
-    return [f"Y{i}" for i in range(1, s + 1)]

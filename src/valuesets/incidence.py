@@ -30,17 +30,27 @@ sum_j c_j * h'_{j-i+1} over the coefficients c of the member (monic, so
 c_d = 1; the constant slot cancels out of every depth >= 2 equation).
 Failing prefixes cut their whole subtree.  One kernel serves every field:
 it works on raw indices through the lookup rows of `Field.rows()`.
+
+The budget-guarded oracles at the end of the module recount by other
+means.  The division oracle `count_hermite_tuples_oracle` walks node
+prefixes too, but its state is the exact quotient of f + a_0 by the node
+product so far, one synthetic division by (T - t) per node; a tuple is
+counted when every division in its chain leaves remainder 0.  It stays
+independent of the scan and of `hermite_profile`: it keeps quotients, not
+complete homogeneous sums, calls the `Field` methods, not `Field.rows()`,
+takes its members from the candidate filter (`oracle_members`) and reads
+nothing from the scan.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, perm
 
 from .engine import DEFAULT_ORACLE_BUDGET, oracle_members, scan_family
 from .errors import IdentityViolation, ParameterRange
 from .families import enumerate_family
-from .unipoly import UniPoly, hermite_divides
+
 
 @dataclass(frozen=True)
 class IncidenceCounts:
@@ -214,19 +224,38 @@ def count_distinct_tuples_oracle(
 def count_hermite_tuples_oracle(
     spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
 ):
-    """Division oracle: tuples whose node product divides f + a_0."""
+    """Division oracle: tuples whose node product divides f + a_0.
+
+    For each member and shift a_0, a DFS over node prefixes divides the
+    current dividend, f + a_0 at the root, synthetically by (T - t) and
+    descends with the quotient only when the remainder is 0.  The node
+    product divides f + a_0 exactly when each division of the chain is
+    exact, taken in any order, with repeated nodes counted by multiplicity,
+    so the exact chains of depth r are the hermite r-tuples.  The price is
+    q^(r+1) * |A|, one test per node tuple of every (member, a_0) pair,
+    checked against `budget` before any member is listed.
+    """
     if r < 1:
         raise ParameterRange(f"need r >= 1, got {r}")
     field = spec.field
     q = field.q
     members = oracle_members(spec, q ** (r + 1), budget, "division oracle", member_count)
-    total = 0
-    for member in members:
-        base = [0] + list(reversed(member)) + [1]
-        for a0 in field.indices():
-            base[0] = a0
-            f = UniPoly(field, base)
-            for nodes in product(field.indices(), repeat=r):
-                if hermite_divides(f, nodes):
-                    total += 1
-    return total
+    add, mul = field.add, field.mul
+
+    def exact_chains(coeffs, depth):
+        # exact chains of `depth` more nodes under the dividend `coeffs`,
+        # whose coefficients are listed from the leading one down
+        found = 0
+        for t in field.indices():
+            quotient = [coeffs[0]]
+            for c in coeffs[1:]:
+                quotient.append(add(mul(quotient[-1], t), c))
+            if quotient.pop() == 0:
+                found += 1 if depth == 1 else exact_chains(quotient, depth - 1)
+        return found
+
+    return sum(
+        exact_chains([1, *member, a0], r)
+        for member in members
+        for a0 in field.indices()
+    )

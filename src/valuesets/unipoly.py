@@ -48,20 +48,6 @@ class UniPoly:
     def zero(cls, field: Field) -> "UniPoly":
         return cls(field, [])
 
-    @classmethod
-    def from_roots(cls, field: Field, roots: Iterable[int]) -> "UniPoly":
-        """Monic product of (T - r) over the given root indices."""
-        cs = [1]  # ascending coefficients
-        for r in roots:
-            nr = field.neg(r)
-            new = [0] * (len(cs) + 1)
-            for j, c in enumerate(cs):
-                if c:
-                    new[j] = field.add(new[j], field.mul(c, nr))
-                    new[j + 1] = field.add(new[j + 1], c)
-            cs = new
-        return cls(field, cs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -223,20 +209,6 @@ def resultant(f: UniPoly, g: UniPoly) -> int:
         f, g = g, r
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly) -> list[list[int]]:
-    """(n+m) x (n+m) coefficient matrix whose determinant is resultant(f, g)."""
-    n, m = f.degree, g.degree
-    if n < 0 or m < 0:
-        raise ZeroPolynomial("Sylvester matrix needs nonzero polynomials")
-    size = n + m
-    rows = []
-    for k in range(m - 1, -1, -1):  # T^k * f
-        rows.append([f.coefficient(size - 1 - col - k) for col in range(size)])
-    for k in range(n - 1, -1, -1):  # T^k * g
-        rows.append([g.coefficient(size - 1 - col - k) for col in range(size)])
-    return rows
-
-
 def principal_subresultant(f: UniPoly, g: UniPoly, j: int) -> int:
     """Coefficient of T^j in the j-th subresultant polynomial of (f, g).
 
@@ -351,19 +323,4 @@ def divided_difference(f: UniPoly, points: Sequence[int]) -> int:
         if c and h[k]:
             acc = fld.add(acc, fld.mul(c, h[k]))
     return acc
-
-
-def hermite_divides(f: UniPoly, points: Sequence[int]) -> bool:
-    """True iff the product of (T - x) over the nodes divides f.
-
-    Multiplicities count: the node multiset (b, b) asks for (T - b)^2.
-    Equivalent to all prefix divided differences of f vanishing, in any
-    node order; the tests check that equivalence exhaustively.
-    """
-    if f.is_zero():
-        raise ZeroPolynomial("divisibility against the zero polynomial")
-    prod = UniPoly.from_roots(f.field, points)
-    if prod.degree > f.degree:
-        return False
-    return (f % prod).is_zero()
 

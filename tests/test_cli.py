@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -167,16 +168,38 @@ PINNED_Q13 = dedent(
 
 def test_gather_cuts_at_most_one_slice_per_index(monkeypatch):
     # 25 members: 10 000 workers cut 25 slices of one member each, not
-    # 10 000 slices that are nearly all empty
+    # 10 000 slices that are nearly all empty (8 CPUs allow 32 slices, so
+    # the index space is the cap that binds)
     sizes, jobs = [], []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes, jobs=jobs))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     f5 = field_new(5)
     spec = linear_family(f5, 4, 1, [parse_poly_expr("A3", f5, 3, coeff_variables(4))])
     assert spec.space_size() == 25
     assert cli._gather(spec, 10_000) == cli._gather(spec, 1)
     assert len(jobs) == 25
-    assert sizes == [4]
+    assert sizes == [8]
+
+
+def test_gather_caps_slices_per_pool_process(monkeypatch):
+    # 20 000 workers on the 2 197-member pinned family cut at most four
+    # slices per pool process, not 2 197 pickled one-member tasks
+    spec = build_family(parse_config(PINNED_Q13))
+    cuts, sizes = [], []
+
+    def counted_ranges(total, parts):
+        cuts.append(parts)
+        return partition_ranges(total, parts)
+
+    def sized_pool(max_workers):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "partition_ranges", counted_ranges)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", sized_pool)
+    assert cli._gather(spec, 20_000) == scan_family(spec)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    assert len(cuts) == 1 and 2 <= cuts[0] <= 4 * sizes[0]
 
 
 def test_pinned_family_workers_balanced_and_identical():

@@ -11,8 +11,10 @@ methods and `UniPoly`:
 - the scan's hermite and coincident counts against the prefix DFS
   (`hermite_profile`) for r <= d, and slice scans merged against the full
   scan, and worker-pool scans at 2 and 3 workers against the serial scan;
-- the prefix DFS against the division oracle for r <= 3, wherever the
-  oracle's cost fits its budget;
+- the prefix DFS against the division oracle, and the division oracle's
+  quotient chains against reducing f + a_0 modulo the node product and
+  against the scan's hermite counts, for r <= 3 wherever the oracle's cost
+  fits its budget;
 - the per-member repeated-root counts, and the scan's loci counts and
   first witnesses, against `poly_gcd(f + a_0, f')`.
 
@@ -29,6 +31,7 @@ equal the per-shift `poly_gcd` loop, the charpoly helper must equal
 
 from collections import Counter
 from functools import reduce
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,8 @@ from valuesets.incidence import count_hermite_tuples_oracle, hermite_profile
 from valuesets.linalg import det
 from valuesets.multipoly import MultiPoly
 from valuesets.unipoly import UniPoly, poly_gcd, resultant
+
+from poly_reference import from_roots, hermite_divides
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 MAX_CANDIDATES = 100  # q^(d-1) ceiling
@@ -102,7 +107,7 @@ def _member_poly(field, member, a0=0):
 
 
 def _multiplicity(f, c):
-    linear = UniPoly.from_roots(f.field, [c])
+    linear = from_roots(f.field, [c])
     e = 0
     while True:
         quo, rem = f.divmod(linear)
@@ -178,6 +183,28 @@ def test_prefix_dfs_matches_division_oracle(spec):
             assert star[r - 1] == count_hermite_tuples_oracle(
                 spec, r, ORACLE_BUDGET, members
             ), (spec, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_families)
+def test_division_oracle_matches_product_and_mod(spec):
+    # the quotient chain against the node product reduced modulo, and
+    # against the scan's hermite counts
+    field = spec.field
+    q = field.q
+    members = list(filter_family(spec))
+    star, _ = scan_family(spec).tuple_profile(3)
+    for r in range(1, 4):
+        if q ** (r + 1) * len(members) > ORACLE_BUDGET:
+            continue
+        reference = sum(
+            hermite_divides(_member_poly(field, member, a0), nodes)
+            for member in members
+            for a0 in field.indices()
+            for nodes in product(range(q), repeat=r)
+        )
+        got = count_hermite_tuples_oracle(spec, r, ORACLE_BUDGET, len(members))
+        assert got == reference == star[r - 1], (spec, r)
 
 
 def _gcd_loci(field, member):
