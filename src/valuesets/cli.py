@@ -7,7 +7,10 @@ the hermite and coincident tuple counts from the scan, check every exact
 cross-identity (these are theorems, so a mismatch aborts the run), run the
 oracles that fit in the configured budget (the prefix-equation DFS among
 them), evaluate the headline allowance, attach diagnostics (the loci check
-reads the scan), and emit a CSV row plus a human-readable summary.
+reads the scan), and emit a CSV row plus a human-readable summary.  The
+oracles all come from `incidence`.  `--seed-check` is one run of this
+pipeline on a built-in linear family over F_5 at the default oracle
+budget, so the DFS and every literal oracle check it.
 
 Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.  `workers` sets
@@ -33,22 +36,15 @@ from .bounds import (
 )
 from .config import ExperimentConfig, build_family, parse_config, validate_config
 from .diagnostics import run_all
-from .engine import (
-    ScanResult,
-    count_interpolating_sets_direct,
-    generic_density,
-    scan_family,
-)
+from .engine import ScanResult, generic_density, scan_family
 from .errors import BudgetExceeded, EmptyFamily, IdentityViolation
-from .exprs import parse_poly_expr  # noqa: F401  constraint-ingestion entry point
-from .families import linear_family, partition_ranges
-from .ffield import field_new
+from .families import partition_ranges
 from .incidence import (
     check_identities,
     check_pattern_counts,
-    collect,
     count_distinct_tuples_oracle,
     count_hermite_tuples_oracle,
+    count_interpolating_sets_direct,
     hermite_profile,
 )
 from .report import (
@@ -244,10 +240,8 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
 
 
 def seed_check() -> int:
-    """Built-in identity suite on a tiny fixed family; 0 on success."""
-    field = field_new(5)
-    a2 = parse_poly_expr("A2", field, 2, {"A2": 0, "A1": 1})
-    spec = linear_family(field, 3, 1, [a2])
+    """Built-in identity suite: the density table, then a full run of a
+    tiny linear family with every oracle; 0 on success."""
     try:
         if [generic_density(k) for k in range(1, 5)] != [
             Fraction(1),
@@ -256,10 +250,7 @@ def seed_check() -> int:
             Fraction(5, 8),
         ]:
             raise IdentityViolation("generic density table is wrong")
-        scan = scan_family(spec)
-        if scan.interpolating_count(1) != scan.member_count * field.q:
-            raise IdentityViolation("S_1 != |A| * q")
-        collect(spec, 3, scan=scan)
+        run_experiment(ExperimentConfig(p=5, kind="linear", d=3, m=1, forms=("A2",)))
     except IdentityViolation as exc:
         print(f"seed check failed: {exc}", file=sys.stderr)
         return 3

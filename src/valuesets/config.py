@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_ORACLE_BUDGET
 from .errors import ParseError, ValidationError
 from .exprs import (
     coeff_variables,
@@ -21,6 +20,7 @@ from .exprs import (
 )
 from .families import FamilySpec, linear_family, symmetric_family
 from .ffield import field_new
+from .incidence import DEFAULT_ORACLE_BUDGET
 
 _SECTIONS = {
     "field": {"p", "s", "modulus"},

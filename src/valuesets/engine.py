@@ -30,19 +30,17 @@ lies in both loci; when f' is a nonzero constant none does.
 
 `ScanResult` is the result: every aggregate is an exact big integer, and
 the average value-set size is the exact Fraction(sum_values, member_count).
-The literal subset-enumeration oracle for S_r survives behind a work budget.
+This module is only the scan; the brute-force recounts that check it, the
+literal S_r oracle among them, live in `incidence`.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import combinations
 from math import comb, perm
 
-from .errors import BudgetExceeded, ParameterRange
-from .families import enumerate_family, family_cardinality, filter_family
-
-DEFAULT_ORACLE_BUDGET = 5_000_000
+from .errors import ParameterRange
+from .families import enumerate_family
 
 
 def generic_density(d):
@@ -385,52 +383,3 @@ def scan_family(spec, partition=None):
         result.sum_values += _member_histogram(field, member, result.profile, result.patterns)
         _repeated_root_profile(field, member, result.loci, result.witnesses)
     return result
-
-
-def oracle_members(spec, cost_per_member, budget, label, member_count=None):
-    """Members for a brute-force oracle, listed only after its budget check.
-
-    The cost is cost_per_member * |A|, with |A| taken from member_count (the
-    scan's count) when given, so a refusal enumerates nothing.  The members
-    come from the candidate filter, independent of `enumerate_family`, so an
-    oracle that runs also cross-checks the direct enumerator.
-    """
-    if member_count is None:
-        member_count = family_cardinality(spec)
-    cost = cost_per_member * member_count
-    if cost > budget:
-        raise BudgetExceeded(f"{label} cost {cost} exceeds budget {budget}")
-    return list(filter_family(spec))
-
-
-def count_interpolating_sets_direct(
-    spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
-):
-    """S_r by literal enumeration of r-subsets and (member, a_0) pairs.
-
-    Test oracle only; refuses work beyond C(q, r) * |A| candidate pairs.
-    """
-    if r < 1:
-        raise ParameterRange(f"need r >= 1, got {r}")
-    field = spec.field
-    q = field.q
-    if r > q:
-        return 0
-    members = oracle_members(spec, comb(q, r), budget, "direct S_r", member_count)
-    add, mul = field.add, field.mul
-    total = 0
-    for subset in combinations(field.indices(), r):
-        for member in members:
-            for a0 in field.indices():
-                ok = True
-                for x in subset:
-                    acc = 1
-                    for coef in member:
-                        acc = add(mul(acc, x), coef)
-                    acc = add(mul(acc, x), a0)
-                    if acc:
-                        ok = False
-                        break
-                if ok:
-                    total += 1
-    return total

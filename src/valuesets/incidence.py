@@ -12,14 +12,14 @@ Three counts per tuple length r, each over all (member, shift a_0) pairs:
 distinct = hermite - coincident is a theorem.  `check_identities` re-checks
 it, together with the inclusion-exclusion and orbit identities of the
 histogram, on every run and raises `IdentityViolation` on a mismatch; the
-CLI, its seed check and `collect` all go through it.
+CLI (its seed check is a run too) and `collect` both go through it.
 
 The hermite and coincident counts of a pair (f, a_0) depend only on the
 multiplicities of the F_q-roots of f + a_0, so the CLI takes them from the
 family scan (`ScanResult.tuple_profile`, fed by the multiplicity patterns
 of the Horner sweep).  `hermite_profile` computes them independently and
 serves as an oracle: the CLI runs it when its cost fits the oracle
-budget, and the seed check and `collect` always run it.
+budget, and `collect` always runs it.
 `check_pattern_counts` compares the two.  Being an oracle, the DFS is the
 one per-member pass over a family outside `engine.scan_family`.
 
@@ -31,8 +31,15 @@ c_d = 1; the constant slot cancels out of every depth >= 2 equation).
 Failing prefixes cut their whole subtree.  One kernel serves every field:
 it works on raw indices through the lookup rows of `Field.rows()`.
 
-The budget-guarded oracles at the end of the module recount by other
-means.  The division oracle `count_hermite_tuples_oracle` walks node
+Every brute-force recount of the scan lives in this module; `engine` is
+only the scan.  The budget-guarded oracles at the end of the module price
+their work before they list a member (`oracle_members`).  The literal
+S_r and distinct-tuple oracles share one kernel, `_literal_tuple_count`:
+it evaluates each member once per node through the `Field` methods, finds
+the roots of each f + a_0 by testing every node, and counts the r-subsets
+resp. ordered r-tuples of distinct nodes that are all roots.
+
+The division oracle `count_hermite_tuples_oracle` walks node
 prefixes too, but its state is the exact quotient of f + a_0 by the node
 product so far, one synthetic division by (T - t) per node; a tuple is
 counted when every division in its chain leaves remainder 0.  It stays
@@ -44,12 +51,14 @@ nothing from the scan.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import factorial, perm
+from itertools import combinations, permutations
+from math import comb, factorial, perm
 
-from .engine import DEFAULT_ORACLE_BUDGET, oracle_members, scan_family
-from .errors import IdentityViolation, ParameterRange
-from .families import enumerate_family
+from .engine import scan_family
+from .errors import BudgetExceeded, IdentityViolation, ParameterRange
+from .families import enumerate_family, family_cardinality, filter_family
+
+DEFAULT_ORACLE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,7 @@ class IncidenceCounts:
     coincident: int
 
 
-def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
+def _profile_member(add, mul, coeffs, r_max, star, coinc, nodes):
     d = len(coeffs) - 1
 
     def descend(h, prefix, has_dup, depth):
@@ -76,7 +85,7 @@ def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
         steps = [
             (add[h[k]], mul[coeffs[nd - 1 + k]]) for k in range(1, kmax + 1)
         ]
-        for t in order:
+        for t in nodes:
             mt = mul[t]
             prev = 1
             dd = c0
@@ -88,7 +97,7 @@ def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
             if dd == 0:
                 descend(hp, prefix + (t,), has_dup or t in prefix, nd)
 
-    for t in order:
+    for t in nodes:
         mt = mul[t]
         h1 = [1]
         acc = 1
@@ -98,24 +107,18 @@ def _profile_member(add, mul, coeffs, r_max, star, coinc, order):
         descend(h1, (t,), False, 1)
 
 
-def hermite_profile(spec, r_max, order=None):
-    """(hermite, coincident) count lists for tuple lengths 1..r_max.
-
-    `order` overrides the node candidate sequence; any permutation of the
-    field elements yields identical counts (the equations are symmetric in
-    the prefix), which tests exercise directly.
-    """
+def hermite_profile(spec, r_max):
+    """(hermite, coincident) count lists for tuple lengths 1..r_max."""
     if r_max < 1:
         raise ParameterRange(f"need r_max >= 1, got {r_max}")
     field = spec.field
-    if order is None:
-        order = list(field.indices())
+    nodes = list(field.indices())
     add, mul, _, _ = field.rows()
     star = [0] * (r_max + 1)
     coinc = [0] * (r_max + 1)
     for member in enumerate_family(spec):
         coeffs = [0] + list(reversed(member)) + [1]
-        _profile_member(add, mul, coeffs, r_max, star, coinc, order)
+        _profile_member(add, mul, coeffs, r_max, star, coinc, nodes)
     return star[1:], coinc[1:]
 
 
@@ -190,35 +193,77 @@ def collect(spec, r_max, scan=None):
 
 # --- budget-guarded enumeration oracles ---------------------------------------
 
+def oracle_members(spec, cost_per_member, budget, label, member_count=None):
+    """Members for a brute-force oracle, listed only after its budget check.
+
+    The cost is cost_per_member * |A|, with |A| taken from member_count (the
+    scan's count) when given, so a refusal enumerates nothing.  The members
+    come from the candidate filter, independent of `enumerate_family`, so an
+    oracle that runs also cross-checks the direct enumerator.
+    """
+    if member_count is None:
+        member_count = family_cardinality(spec)
+    cost = cost_per_member * member_count
+    if cost > budget:
+        raise BudgetExceeded(f"{label} cost {cost} exceeds budget {budget}")
+    return list(filter_family(spec))
+
+
+def _literal_tuple_count(field, members, tuples, r):
+    """Node tuples whose nodes are all roots of f + a_0, summed over the
+    members f and the shifts a_0; tuples is `combinations` or
+    `permutations`, applied to the field's indices.
+
+    Each member is evaluated once per node by Horner through the `Field`
+    methods, and the roots of each f + a_0 are found by testing every node.
+    Nodes are not bucketed by value, which is the scan's histogram, so the
+    count stays independent of the scan.
+    """
+    add, mul = field.add, field.mul
+    nodes = list(field.indices())
+    total = 0
+    for member in members:
+        values = []
+        for x in nodes:
+            acc = 1
+            for coef in member:
+                acc = add(mul(acc, x), coef)
+            values.append(mul(acc, x))
+        for a0 in nodes:
+            roots = {x for x, v in zip(nodes, values) if add(v, a0) == 0}
+            total += sum(map(roots.issuperset, tuples(nodes, r)))
+    return total
+
+
+def count_interpolating_sets_direct(
+    spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
+):
+    """S_r by literal enumeration of r-subsets and (member, a_0) pairs.
+
+    Test oracle only; refuses work beyond C(q, r) * |A| candidate pairs.
+    """
+    if r < 1:
+        raise ParameterRange(f"need r >= 1, got {r}")
+    q = spec.field.q
+    if r > q:
+        return 0
+    members = oracle_members(spec, comb(q, r), budget, "direct S_r", member_count)
+    return _literal_tuple_count(spec.field, members, combinations, r)
+
+
 def count_distinct_tuples_oracle(
     spec, r, budget=DEFAULT_ORACLE_BUDGET, member_count=None
 ):
     """Literal enumeration over (member, shift, ordered distinct tuple)."""
     if r < 1:
         raise ParameterRange(f"need r >= 1, got {r}")
-    field = spec.field
-    q = field.q
+    q = spec.field.q
     if r > q:
         return 0
     members = oracle_members(
         spec, q * perm(q, r), budget, "raw tuple enumeration", member_count
     )
-    add, mul = field.add, field.mul
-    total = 0
-    for member in members:
-        for a0 in field.indices():
-            for nodes in permutations(field.indices(), r):
-                ok = True
-                for x in nodes:
-                    acc = 1
-                    for coef in member:
-                        acc = add(mul(acc, x), coef)
-                    if add(mul(acc, x), a0):
-                        ok = False
-                        break
-                if ok:
-                    total += 1
-    return total
+    return _literal_tuple_count(spec.field, members, permutations, r)
 
 
 def count_hermite_tuples_oracle(

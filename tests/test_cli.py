@@ -341,6 +341,15 @@ def test_main_exits_3_on_tampered_patterns(tmp_path, monkeypatch, capsys):
     assert main(["--seed-check"]) == 3
 
 
+def test_seed_check_runs_the_literal_oracles(monkeypatch, capsys):
+    true_count = cli.count_distinct_tuples_oracle
+    monkeypatch.setattr(
+        cli, "count_distinct_tuples_oracle", lambda *args: true_count(*args) + 1
+    )
+    assert main(["--seed-check"]) == 3
+    assert "distinct tuple oracle disagrees at r=1" in capsys.readouterr().err
+
+
 def test_empty_family_raises():
     cfg = parse_config(
         dedent(

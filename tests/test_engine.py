@@ -6,7 +6,6 @@ import pytest
 
 from valuesets.engine import (
     ScanResult,
-    count_interpolating_sets_direct,
     generic_density,
     scan_family,
     value_set_size,
@@ -22,7 +21,11 @@ from valuesets.families import (
     partition_ranges,
 )
 from valuesets.ffield import field_new
-from valuesets.incidence import check_identities, hermite_profile
+from valuesets.incidence import (
+    check_identities,
+    count_interpolating_sets_direct,
+    hermite_profile,
+)
 from valuesets.multipoly import MultiPoly
 from valuesets.unipoly import UniPoly
 

@@ -15,6 +15,9 @@ methods and `UniPoly`:
   quotient chains against reducing f + a_0 modulo the node product and
   against the scan's hermite counts, for r <= 3 wherever the oracle's cost
   fits its budget;
+- the literal S_r and distinct-tuple oracles against per-tuple Horner
+  loops and against the scan's S_r and distinct counts, for r <= 3
+  wherever the oracle's price fits the budget;
 - the per-member repeated-root counts, and the scan's loci counts and
   first witnesses, against `poly_gcd(f + a_0, f')`.
 
@@ -32,6 +35,7 @@ equal the per-shift `poly_gcd` loop, the charpoly helper must equal
 from collections import Counter
 from functools import reduce
 from itertools import product
+from math import comb, perm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,17 +49,27 @@ from valuesets.engine import (
 )
 from valuesets.families import FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
-from valuesets.incidence import count_hermite_tuples_oracle, hermite_profile
+from valuesets.incidence import (
+    count_distinct_tuples_oracle,
+    count_hermite_tuples_oracle,
+    count_interpolating_sets_direct,
+    hermite_profile,
+)
 from valuesets.linalg import det
 from valuesets.multipoly import MultiPoly
 from valuesets.unipoly import UniPoly, poly_gcd, resultant
 
-from poly_reference import from_roots, hermite_divides
+from poly_reference import (
+    from_roots,
+    hermite_divides,
+    literal_distinct_tuple_count,
+    literal_interpolating_count,
+)
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 MAX_CANDIDATES = 100  # q^(d-1) ceiling
 MAX_DEGREE = 6
-ORACLE_BUDGET = 8000  # q^(r+1) * |A| divisibility tests per oracle call
+ORACLE_BUDGET = 8000  # oracle price ceiling, e.g. q^(r+1) * |A| divisibility tests
 
 
 def _d_max(q):
@@ -205,6 +219,26 @@ def test_division_oracle_matches_product_and_mod(spec):
         )
         got = count_hermite_tuples_oracle(spec, r, ORACLE_BUDGET, len(members))
         assert got == reference == star[r - 1], (spec, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_families)
+def test_literal_oracles_match_reference_loops(spec):
+    # the shared kernel against the per-tuple Horner loops, and against the scan
+    field = spec.field
+    q = field.q
+    members = list(filter_family(spec))
+    n = len(members)
+    scan = scan_family(spec)
+    for r in range(1, 4):
+        if comb(q, r) * n <= ORACLE_BUDGET:
+            got = count_interpolating_sets_direct(spec, r, ORACLE_BUDGET, n)
+            reference = literal_interpolating_count(field, members, r)
+            assert got == reference == scan.interpolating_count(r), (spec, r)
+        if q * perm(q, r) * n <= ORACLE_BUDGET:
+            got = count_distinct_tuples_oracle(spec, r, ORACLE_BUDGET, n)
+            reference = literal_distinct_tuple_count(field, members, r)
+            assert got == reference == scan.distinct_tuple_count(r), (spec, r)
 
 
 def _gcd_loci(field, member):
