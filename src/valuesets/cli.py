@@ -9,7 +9,7 @@ oracles that fit in the configured budget (the prefix-equation DFS among
 them), evaluate the headline allowance, attach diagnostics (the loci check
 reads the scan), and emit a CSV row plus a human-readable summary.  The
 oracles all come from `incidence`.  `--seed-check` is one run of this
-pipeline on a built-in linear family over F_5 at the default oracle
+pipeline on a built-in graph family over F_5 at the default oracle
 budget, so the DFS and every literal oracle check it.
 
 Worker processes only return partial sums; the coordinator merges them in
@@ -241,7 +241,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
 
 def seed_check() -> int:
     """Built-in identity suite: the density table, then a full run of a
-    tiny linear family with every oracle; 0 on success."""
+    tiny graph family with every oracle; 0 on success."""
     try:
         if [generic_density(k) for k in range(1, 5)] != [
             Fraction(1),
@@ -250,7 +250,10 @@ def seed_check() -> int:
             Fraction(5, 8),
         ]:
             raise IdentityViolation("generic density table is wrong")
-        run_experiment(ExperimentConfig(p=5, kind="linear", d=3, m=1, forms=("A2",)))
+        # f = T^3 + a_2 T^2 + a_2^2 T, whose S_2 tells f(x) from f(x)/x
+        run_experiment(
+            ExperimentConfig(p=5, kind="custom", d=3, m=1, forms=("A2^2 - A1",))
+        )
     except IdentityViolation as exc:
         print(f"seed check failed: {exc}", file=sys.stderr)
         return 3

@@ -22,10 +22,12 @@ points over small extensions:
   scan (`engine.scan_family`).
 
 Only the regularity checks enumerate here, and only over a family that
-`FamilySpec` could not solve (kept on the filter, e.g. a rule that would
-read to its right, or the top form A3^3).  A solved family is the graph of
-its pivot rules over the free coordinates: it has Q^(free) points over F_Q
-and Jacobian rank m at each, which both checks read off `spec.solution`.
+`FamilySpec` could not solve, such as the top form A3^3.  A solved family
+is the graph of its pivot rules over the free coordinates, whichever way
+it is enumerated: it has Q^(free) points over F_Q and Jacobian rank m at
+each, which both checks read off `spec.solution`.  An unsolved family is
+walked only over the coordinates its constraints involve; each uninvolved
+coordinate multiplies the counts by Q and takes 0 in the witness.
 
 A report status is one of `pass-necessary-conditions`, `fail`, or
 `inconclusive`; a pass never claims more than the phrase says, and the
@@ -45,6 +47,7 @@ from .engine import scan_family
 from .families import FamilySpec, enumerate_family
 from .ffield import embedding_table, field_new
 from .linalg import rank
+from .multipoly import MultiPoly
 
 PASS = "pass-necessary-conditions"
 FAIL = "fail"
@@ -83,19 +86,41 @@ def _embedded_spec(spec: FamilySpec, k: int) -> FamilySpec:
 
 
 def _walk_rank(spec: FamilySpec):
-    """(points, deficient, first_bad): the Jacobian ranked at every point."""
-    jac_rows = [[g.partial(i) for i in range(spec.d - 1)] for g in spec.constraints]
+    """(points, deficient, first_bad): the Jacobian ranked at every point.
+
+    A coordinate that no constraint involves splits off a factor F_Q of the
+    variety, and the rank does not depend on it.  So only the projection
+    onto the involved coordinates is walked; its counts are scaled by
+    Q^(uninvolved), and its lex-least bad point takes index 0 in every
+    uninvolved coordinate, which is the lex-least bad point of the product.
+    """
+    n = spec.d - 1
+    exps = [e for g in spec.constraints for e in g.terms]
+    involved = [k for k in range(n) if any(e[k] for e in exps)]
+    projected = [
+        MultiPoly(spec.field, len(involved),
+                  {tuple(e[k] for k in involved): c for e, c in g.terms.items()})
+        for g in spec.constraints
+    ]
+    projection = FamilySpec(spec.field, len(involved) + 1, spec.m, projected)
+    jac_rows = [[g.partial(i) for i in range(len(involved))] for g in projected]
     points = 0
     deficient = 0
     first_bad = None
-    for member in enumerate_family(spec):
+    for member in enumerate_family(projection):
         points += 1
         rows = [[pg.eval(member) for pg in row] for row in jac_rows]
         if rank(spec.field, rows) < spec.m:
             deficient += 1
             if first_bad is None:
                 first_bad = member
-    return points, deficient, first_bad
+    if first_bad is not None:
+        a = [0] * n
+        for k, x in zip(involved, first_bad):
+            a[k] = x
+        first_bad = tuple(a)
+    scale = spec.field.q ** (n - len(involved))
+    return points * scale, deficient * scale, first_bad
 
 
 def _regularity_report(label, spec, extension_degrees):

@@ -16,19 +16,21 @@ moves fastest, and evaluate polynomials only through `MultiPoly.eval`.
   any family, and the oracles use it as the independent reference for the
   direct path.
 - Every `FamilySpec` tries, once at build time, to solve its constraints
-  from the right: the rightmost coordinate A_j that a remaining constraint
-  involves is solved from a constraint c*A_j + h with c a nonzero constant
-  and A_j absent from h, and the rule A_j = -h/c, a `MultiPoly`, is
-  substituted into the other constraints.  Each rule then reads only
-  coordinates to its left.  A linear system of full rank always solves
-  this way; so do graph forms such as A2 + g(A4, A3) or A2 - A3^2.  A
-  solved family is walked directly over the q^(free) assignments of its
-  free coordinates, and each pivot a_j is set to its rule's value, in
-  ascending j.  Two members first differ at a free coordinate (each pivot
-  is determined by the coordinates before it), so this is the filter's
-  order.  Anything else stays on the filter: a constraint that reduces to
-  a constant, or a step where no constraint holds its rightmost coordinate
-  in one clean term (a rule would have to read a coordinate to its right).
+  by substitution: the rightmost coordinate A_j that some remaining
+  constraint holds in one clean term is solved from that constraint
+  c*A_j + h, with c a nonzero constant and A_j absent from h, and the rule
+  A_j = -h/c, a `MultiPoly`, is substituted into the other constraints.  A
+  linear system of full rank always solves this way; so do graph forms
+  such as A2 + g(A4, A3), A2 - A3^2, or A2 + A3^2 + A1^2, whose rule reads
+  A1 to its right.  A solved family is the graph of its rules over its
+  free coordinates.  When every rule reads only coordinates to its left
+  (`FamilySpec.direct`), it is walked directly over the q^(free)
+  assignments of its free coordinates, each pivot set to its rule's value
+  in fill order.  Two members first differ at a free coordinate (each
+  pivot is determined by the free coordinates before it), so this is the
+  filter's order.  Anything else stays on the filter: a rule that reads to
+  its right, a constraint that reduces to a constant, or a step where no
+  coordinate is held in one clean term.
 
 `FamilySpec.space_size()` is the size of the index space `enumerate_family`
 walks, and a (lo, hi) slice of it is a clean unit of parallel work.
@@ -47,7 +49,9 @@ from .multipoly import MultiPoly, elementary_symmetric, weighted_compose
 
 
 class FamilySpec:
-    __slots__ = ("field", "d", "m", "constraints", "degrees", "kind", "solution")
+    __slots__ = (
+        "field", "d", "m", "constraints", "degrees", "kind", "solution", "direct"
+    )
 
     def __init__(self, field, d, m, constraints, kind="custom"):
         if d < 1:
@@ -69,16 +73,20 @@ class FamilySpec:
         self.constraints = tuple(constraints)
         self.degrees = tuple(g.total_degree for g in constraints)
         self.kind = kind
-        # (free, rules) when the constraints solve from the right, else None
+        # (free, rules) when the constraints solve, else None
         self.solution = _solve(field, d - 1, self.constraints)
+        # walked over the free coordinates only when every rule reads left
+        self.direct = self.solution is not None and all(
+            not any(exps[j:]) for j, rule in self.solution[1] for exps in rule.terms
+        )
 
     def space_size(self):
         """Size of the index space `enumerate_family` walks.
 
-        q^(free coordinates), the member count, for a solved family;
-        otherwise q^(d-1), the candidate count.
+        q^(free coordinates), the member count, for a family walked
+        directly; otherwise q^(d-1), the candidate count.
         """
-        free = self.d - 1 if self.solution is None else len(self.solution[0])
+        free = len(self.solution[0]) if self.direct else self.d - 1
         return self.field.q**free
 
     def __repr__(self):
@@ -129,10 +137,11 @@ def enumerate_family(spec, partition=None):
 
     `partition` restricts to a (lo, hi) slice of [0, spec.space_size());
     slices from partition_ranges are disjoint and covering, so parallel
-    scans see each member exactly once.  A solved family is walked directly
-    over its free coordinates, anything else through the filter.
+    scans see each member exactly once.  A solved family whose rules read
+    only to their left is walked directly over its free coordinates,
+    anything else through the filter.
     """
-    if spec.solution is None:
+    if not spec.direct:
         yield from filter_family(spec, partition)
         return
     free, rules = spec.solution
@@ -183,34 +192,34 @@ def _substitute(g, j, rule):
 
 
 def _solve(field, n, constraints):
-    """(free, rules) solving the constraints from the right, or None.
+    """(free, rules) solving the constraints by substitution, or None.
 
-    While constraints remain, take A_j, the rightmost coordinate any of them
-    involves, and a constraint c*A_j + h in which A_j occurs only in that
-    one term with c a nonzero constant; its rule (j, -h/c) reads only
-    coordinates left of j, and is substituted into the other constraints.
-    None when a remaining constraint is constant (or zero) or no constraint
-    holds A_j cleanly.  The rules come out in descending j; every constraint
-    must reduce to the zero polynomial once they are substituted in that
-    order, and they are returned in ascending j, the order they are filled.
+    While constraints remain, take the rightmost coordinate A_j that some
+    remaining constraint holds in one clean term: c*A_j + h with c a
+    nonzero constant and A_j absent from h.  Its rule (j, -h/c) is
+    substituted into the other constraints, so no later rule reads A_j.
+    None when a remaining constraint is constant (or zero) or no coordinate
+    is held cleanly.  Every constraint must reduce to the zero polynomial
+    once the rules are substituted in the order they were taken; they are
+    returned in the reverse order, the order they are filled.
     """
     remaining = list(constraints)
     rules = []
     while remaining:
         if any(g.total_degree < 1 for g in remaining):
             return None
-        j = max(k for g in remaining for exps in g.terms for k in range(n) if exps[k])
-        unit = tuple(int(k == j) for k in range(n))
-        for i, g in enumerate(remaining):
-            c = g.terms.get(unit)
-            if c and all(exps == unit or not exps[j] for exps in g.terms):
+        for j in reversed(range(n)):
+            unit = tuple(int(k == j) for k in range(n))
+            i = next((i for i, g in enumerate(remaining) if unit in g.terms
+                      and all(e == unit or not e[j] for e in g.terms)), None)
+            if i is not None:
                 break
         else:
             return None
+        g = remaining.pop(i)
         h = MultiPoly(field, n, {e: v for e, v in g.terms.items() if e != unit})
-        rule = h.scale(field.neg(field.inv(c)))
+        rule = h.scale(field.neg(field.inv(g.terms[unit])))
         rules.append((j, rule))
-        del remaining[i]
         remaining = [_substitute(g, j, rule) for g in remaining]
     for g in constraints:
         for j, rule in rules:

@@ -1,4 +1,5 @@
-"""Reference loops for the oracles in `valuesets.incidence`, for tests only.
+"""Reference loops for the oracles in `valuesets.incidence` and the Jacobian
+walk in `valuesets.diagnostics`, for tests only.
 
 The division oracle counts node tuples by a chain of synthetic divisions;
 `from_roots` and `hermite_divides` decide the same question the long way,
@@ -7,11 +8,17 @@ and distinct-tuple oracles evaluate each member once per node;
 `literal_interpolating_count` and `literal_distinct_tuple_count` count the
 same tuples by evaluating f + a_0 by Horner afresh at every node of every
 tuple.
+
+`walk_rank` ranks the Jacobian of a family's constraints at every candidate
+the filter keeps, over all d-1 coordinates; `diagnostics._walk_rank` walks
+only the coordinates the constraints involve.
 """
 
 from itertools import combinations, permutations
 
 from valuesets.errors import ZeroPolynomial
+from valuesets.families import filter_family
+from valuesets.linalg import rank
 from valuesets.unipoly import UniPoly
 
 
@@ -73,3 +80,19 @@ def literal_distinct_tuple_count(field, members, r):
         for a0 in field.indices()
         for nodes in permutations(field.indices(), r)
     )
+
+
+def walk_rank(spec):
+    """(points, deficient, first_bad): the Jacobian ranked at every point."""
+    jac_rows = [[g.partial(i) for i in range(spec.d - 1)] for g in spec.constraints]
+    points = 0
+    deficient = 0
+    first_bad = None
+    for member in filter_family(spec):
+        points += 1
+        rows = [[pg.eval(member) for pg in row] for row in jac_rows]
+        if rank(spec.field, rows) < spec.m:
+            deficient += 1
+            if first_bad is None:
+                first_bad = member
+    return points, deficient, first_bad

@@ -5,6 +5,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import combinations
 from pathlib import Path
 from textwrap import dedent
 
@@ -17,7 +18,7 @@ from valuesets.config import build_family, parse_config
 from valuesets.engine import scan_family
 from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
-from valuesets.families import linear_family, partition_ranges
+from valuesets.families import filter_family, linear_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import hermite_profile
 from valuesets.report import format_magnitude, report_columns
@@ -348,6 +349,30 @@ def test_seed_check_runs_the_literal_oracles(monkeypatch, capsys):
     )
     assert main(["--seed-check"]) == 3
     assert "distinct tuple oracle disagrees at r=1" in capsys.readouterr().err
+
+
+def test_seed_check_sees_a_deflated_literal_oracle(monkeypatch, capsys):
+    # an S_r oracle that evaluates f(x)/x in place of f(x), as a literal
+    # kernel that drops its last multiplication by x would
+    def deflated(spec, r, *args):
+        field = spec.field
+
+        def value(member, x):
+            acc = 1
+            for coef in member:
+                acc = field.add(field.mul(acc, x), coef)
+            return acc
+
+        return sum(
+            all(field.add(value(member, x), a0) == 0 for x in subset)
+            for subset in combinations(field.indices(), r)
+            for member in filter_family(spec)
+            for a0 in field.indices()
+        )
+
+    monkeypatch.setattr(cli, "count_interpolating_sets_direct", deflated)
+    assert main(["--seed-check"]) == 3
+    assert "direct subset oracle disagrees at r=2" in capsys.readouterr().err
 
 
 def test_empty_family_raises():

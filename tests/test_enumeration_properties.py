@@ -4,14 +4,17 @@ Hypothesis draws a small field F_{p^s}, a degree d and a constraint system.
 Linear draws are m random affine forms in A_{d-1}..A_2 built through
 `linear_family`: a full-rank draw is solved, has exactly q^(d-1-m) members,
 and anything else is refused.  Custom draws mix graph forms
-c*A_j + h(coordinates left of j), linear forms over every slot (A1
-included) and arbitrary quadratics, and may or may not solve.  Either way
-the directly walked members must equal the filtered candidates as an
-ordered list, slices of the walked index space and slices of the candidate
-space must each concatenate to that list, and a solved family walks
-exactly its members.  The regularity check reads a solved family's points
-and Jacobian rank off its solution; over F_q and F_{q^2} that must equal
-the Jacobian ranked at every walked point.
+c*A_j + h(coordinates left of j), graph forms whose h also reads
+coordinates right of j, linear forms over every slot (A1 included) and
+arbitrary quadratics, and may or may not solve.  Either way the enumerated
+members must equal the filtered candidates as an ordered list, slices of
+the walked index space and slices of the candidate space must each
+concatenate to that list, a solved family has exactly q^(free) members,
+and a family walked directly walks exactly its members.  The regularity
+check reads a solved family's points and Jacobian rank off its solution;
+over F_q and F_{q^2} that must equal the Jacobian ranked at every filtered
+candidate (`poly_reference.walk_rank`).  So must `_walk_rank`, which walks
+an unsolved family only over the coordinates its constraints involve.
 """
 
 import pytest
@@ -30,6 +33,8 @@ from valuesets.families import (
 from valuesets.ffield import field_new
 from valuesets.linalg import rank
 from valuesets.multipoly import MultiPoly
+
+from poly_reference import walk_rank
 
 # (p, s) with q = p^s in {2, 3, 4, 5, 7, 8, 9}; extension fields included
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
@@ -121,12 +126,20 @@ def custom_systems(draw):
     element = st.integers(0, field.q - 1)
     constraints = []
     for _ in range(draw(st.integers(1, min(3, n)))):
-        shape = draw(st.sampled_from(["graph", "linear", "quadratic"]))
+        shape = draw(st.sampled_from(["graph", "graph_right", "linear", "quadratic"]))
         if shape == "graph":
             j = draw(st.integers(0, n - 1))
             c = draw(st.integers(1, field.q - 1))
             g = MultiPoly.variable(field, n, j).scale(c)
             g = g + _monomials(draw, field, n, list(range(j)), 3, 0)
+        elif shape == "graph_right":
+            # c*A_j + h, h reading the squares of A_j's neighbours on each side
+            j = draw(st.integers(0, n - 2))
+            c = draw(st.integers(1, field.q - 1))
+            exps = tuple(2 if abs(k - j) == 1 else 0 for k in range(n))
+            h = MultiPoly(field, n, {exps: draw(st.integers(1, field.q - 1))})
+            h = h + _monomials(draw, field, n, list(range(j)), 2, 0)
+            g = MultiPoly.variable(field, n, j).scale(c) + h
         elif shape == "linear":
             row = draw(st.lists(element, min_size=n + 1, max_size=n + 1))
             g = _form(field, n, row)  # every slot, A1 included
@@ -145,6 +158,8 @@ def test_solved_custom_enumeration_matches_filter(system, parts):
     direct = list(enumerate_family(spec))
     assert direct == list(filter_family(spec))
     if spec.solution is not None:
+        assert len(direct) == field.q ** len(spec.solution[0])
+    if spec.direct:
         assert len(direct) == spec.space_size()
     else:
         assert spec.space_size() == field.q ** (d - 1)
@@ -168,12 +183,38 @@ def solved_specs(draw):
     return spec
 
 
+def _small_degrees(spec):
+    """Extension degrees k in (1, 2) whose q^(k(d-1)) candidates the reference walks."""
+    return tuple(k for k in (1, 2) if spec.field.q ** (k * (spec.d - 1)) <= 20_000)
+
+
 @settings(max_examples=150, deadline=None)
 @given(solved_specs())
 def test_solved_regularity_closed_form_matches_walk(spec):
-    ks = tuple(k for k in (1, 2) if spec.field.q ** (k * (spec.d - 1)) <= 20_000)
+    ks = _small_degrees(spec)
     rep = check_regularity(spec, ks)
     for k in ks:
         points = spec.field.q ** (k * len(spec.solution[0]))
         assert (rep.evidence[f"k{k}.points"], rep.evidence[f"k{k}.deficient"]) == (points, 0)
-        assert _walk_rank(_embedded_spec(spec, k)) == (points, 0, None)
+        assert walk_rank(_embedded_spec(spec, k)) == (points, 0, None)
+
+
+@st.composite
+def unsolved_specs(draw):
+    field, d, constraints = draw(custom_systems())
+    assume(not any(g.is_zero() for g in constraints))
+    if draw(st.booleans()):
+        # the highest forms, as the check at infinity walks them; A3^3 and
+        # the like leave coordinates uninvolved
+        constraints = [g.highest_form() for g in constraints]
+    spec = FamilySpec(field, d, len(constraints), constraints)
+    assume(spec.solution is None)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(unsolved_specs())
+def test_walk_over_involved_coordinates_matches_full_walk(spec):
+    for k in _small_degrees(spec):
+        ext = _embedded_spec(spec, k)
+        assert _walk_rank(ext) == walk_rank(ext)

@@ -8,7 +8,7 @@ from valuesets.errors import (
     RankDeficient,
     ZeroPolynomial,
 )
-from valuesets.diagnostics import _embedded_spec
+from valuesets.diagnostics import _embedded_spec, check_regularity
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.ffield import field_new
 from valuesets.families import (
@@ -21,6 +21,8 @@ from valuesets.families import (
     symmetric_family,
 )
 from valuesets.multipoly import MultiPoly
+
+from poly_reference import walk_rank
 
 F3 = field_new(3)
 F5 = field_new(5)
@@ -214,9 +216,14 @@ def test_embedded_and_top_form_specs_solved():
 
 
 def test_rule_reading_to_the_right_stays_on_filter():
-    # A1 occurs only squared, and solving for A3 would read A1
+    # A1 occurs only squared, so the rule A3 = -A1^2 reads to its right:
+    # the family is solved, a graph over (A2, A1), but walked by the filter
     spec = FamilySpec(F5, 4, 1, [constraint("A3 + A1^2", F5, 4)])
-    assert spec.solution is None
+    assert spec.solution is not None
+    assert not spec.direct
     assert spec.space_size() == 5**3
     assert list(enumerate_family(spec)) == list(filter_family(spec))
     assert family_cardinality(spec) == 25
+    rep = check_regularity(spec, (1,))
+    assert (rep.evidence["k1.points"], rep.evidence["k1.deficient"]) == (25, 0)
+    assert walk_rank(spec) == (25, 0, None)
