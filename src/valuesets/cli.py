@@ -16,7 +16,8 @@ Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.  `workers` sets
 the number of slices, at most one per index the enumerator walks and at
 most four per pool process; the pool holds at most one process per slice
-and per CPU.
+and per CPU.  A family walked directly has q^(free) members, and the run
+checks the scan's member count against it.
 """
 
 from __future__ import annotations
@@ -135,6 +136,13 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     d, m, q = config.d, config.m, config.q
     family_id = config.family_id()
     scan = _gather(spec, config.workers)
+    if spec.direct and scan.member_count != spec.space_size():
+        # the walk's index space is the family: this checks the orbit
+        # weights at every budget
+        raise IdentityViolation(
+            f"family {family_id}: the scan counts {scan.member_count} members,"
+            f" the direct walk has {spec.space_size()}"
+        )
     if tamper_hook is not None:
         scan = tamper_hook(scan) or scan
     if scan.member_count == 0:
@@ -250,7 +258,9 @@ def seed_check() -> int:
             Fraction(5, 8),
         ]:
             raise IdentityViolation("generic density table is wrong")
-        # f = T^3 + a_2 T^2 + a_2^2 T, whose S_2 tells f(x) from f(x)/x
+        # f = T^3 + a_2 T^2 + a_2^2 T, whose S_2 tells f(x) from f(x)/x; the
+        # constraint is weighted homogeneous, so the oracles, which list every
+        # member, also check the scan's scaling-orbit weights
         run_experiment(
             ExperimentConfig(p=5, kind="custom", d=3, m=1, forms=("A2^2 - A1",))
         )

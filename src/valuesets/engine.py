@@ -28,6 +28,23 @@ locus (chi(-a_0) is Res(f + a_0, f') up to a unit), and a gcd is needed
 only at a multiple root of chi, for the second.  When f' = 0 every shift
 lies in both loci; when f' is a nonzero constant none does.
 
+The scan visits one member per orbit of the symmetries the family admits,
+weighted by the orbit's size (`orbit_weigher`).  Frobenius a_k -> a_k^p
+applies when every constraint coefficient lies in F_p, as integer literals
+do, over F_{p^s} with s > 1; scaling a_k -> c^(d-k) a_k, f -> c^d f(T/c),
+applies when every constraint is weighted homogeneous with
+weight(A_k) = d - k, and is the one used when both apply.  Each maps the
+family to itself and only permutes the
+shifts a_0 of a member, so V(f), the profile, the patterns, the loci and
+the f' = 0 pairs are the same at every member of an orbit.  The scanned
+member is the lex-least of its orbit, and members are walked in lex order,
+so the first orbit with a nonempty locus is scanned at the full scan's
+first member with one, and its least a_0 is the full scan's witness;
+`ScanResult.merge` keeps the earliest slice's witness as before.  When
+neither action applies, as over a prime field with a constant term in a
+constraint, every member is scanned (`scan_members`, the plain loop and
+the reference for the weighted one).
+
 `ScanResult` is the result: every aggregate is an exact big integer, and
 the average value-set size is the exact Fraction(sum_values, member_count).
 This module is only the scan; the brute-force recounts that check it, the
@@ -37,7 +54,7 @@ literal S_r oracle among them, live in `incidence`.
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import comb, perm
+from math import comb, gcd, lcm, perm
 
 from .errors import ParameterRange
 from .families import enumerate_family
@@ -84,14 +101,15 @@ def _root_multiplicity(add, mc, coeffs):
     return e
 
 
-def _member_histogram(field, a_desc, profile, patterns):
+def _member_histogram(field, a_desc, profile, patterns, weight=1):
     """Accumulate one member's root-count histogram into profile.
 
     a_desc is (a_{d-1}, ..., a_1).  hist[v] counts c with f(c) = v, which
     is the root count of f + a_0 at a_0 = -v; adds the histogram's
-    n-distribution into profile[n] and returns V(f) = #nonzero entries.
-    Each pair (f, a_0) with a multiple root adds one to patterns[key], key
-    the sorted multiplicities of all F_q-roots of f + a_0.
+    n-distribution, times `weight`, into profile[n] and returns
+    V(f) = #nonzero entries.  Each pair (f, a_0) with a multiple root adds
+    `weight` to patterns[key], key the sorted multiplicities of all
+    F_q-roots of f + a_0.
     """
     add, mul, neg, _ = field.rows()
     hist = [0] * field.q
@@ -112,21 +130,22 @@ def _member_histogram(field, a_desc, profile, patterns):
             multiple.setdefault(v, []).append(_root_multiplicity(add, mc, coeffs))
     vf = 0
     for n in hist:
-        profile[n] += 1
+        profile[n] += weight
         if n:
             vf += 1
     for v, mults in multiple.items():
-        patterns[tuple(sorted(mults + [1] * (hist[v] - len(mults))))] += 1
+        patterns[tuple(sorted(mults + [1] * (hist[v] - len(mults))))] += weight
     return vf
 
 
-def _repeated_root_profile(field, a_desc, loci, witnesses):
+def _repeated_root_profile(field, a_desc, loci, witnesses, weight=1):
     """Accumulate one member's repeated-root pairs.
 
     a_desc is (a_{d-1}, ..., a_1).  Adds to loci[0] resp. loci[1] the
     shifts a_0 with deg gcd(f + a_0, f') >= 1 resp. >= 2, and q to loci[2]
-    when f' vanishes identically; an empty witnesses[i] takes
-    (*a_desc, a_0) for the smallest a_0 counted in loci[i].
+    when f' vanishes identically, each times `weight`; an empty
+    witnesses[i] takes (*a_desc, a_0) for the smallest a_0 counted in
+    loci[i].
 
     With e = deg f' >= 1 and r = f mod f', deg gcd(f + a_0, f') is the
     dimension of the kernel of M_r + a_0, M_r the matrix of multiplication
@@ -145,9 +164,8 @@ def _repeated_root_profile(field, a_desc, loci, witnesses):
     while deriv and deriv[-1] == 0:
         deriv.pop()
     if not deriv:
-        loci[0] += field.q
-        loci[1] += field.q
-        loci[2] += field.q
+        for i in range(3):
+            loci[i] += field.q * weight
         for i in range(2):
             if witnesses[i] is None:
                 witnesses[i] = (*a_desc, 0)
@@ -182,7 +200,7 @@ def _repeated_root_profile(field, a_desc, loci, witnesses):
         f[0] = a0
         g = 1 if der else _gcd_degree(rows, f, deriv)
         for i in range(min(g, 2)):
-            loci[i] += 1
+            loci[i] += weight
             if witnesses[i] is None:
                 witnesses[i] = (*a_desc, a0)
 
@@ -373,9 +391,127 @@ class ScanResult:
         return [self.hermite_count(r) for r in rs], [self.coincident_count(r) for r in rs]
 
 
+class _Scaling:
+    """Lex-least points of the orbits of F_q^* acting by c . a_k = c^w a_k
+    on tuples whose coordinates have the weights w in `weights`.
+
+    Through discrete logs to a generator g: c = g^t moves g^e, of weight
+    w, to g^(e + t*w).  Walking the coordinates in order, the shifts that
+    fix every nonzero coordinate so far are the multiples of `step`, so a
+    nonzero coordinate of weight w can still reach exactly the logs in
+    e + delta*Z, delta = gcd(step*w, q-1); least[delta] holds the least
+    index of each such coset.  Fixing it too makes step the lcm of step
+    and (q-1)/gcd(w, q-1).  At the end step is the orbit size,
+    (q-1)/gcd(q-1, h) with h the gcd of the weights of the nonzero
+    coordinates.  Each point costs O(len(weights)), not O(q).
+    """
+
+    def __init__(self, field, weights):
+        n = self.order = field.q - 1
+        mul = field.rows()[1]
+        for g in range(2, field.q):  # the first generator of F_q^*
+            powers = [1]
+            while mul[g][powers[-1]] != 1:
+                powers.append(mul[g][powers[-1]])
+            if len(powers) == n:
+                break
+        self.log = log = [0] * field.q
+        for e, x in enumerate(powers):
+            log[x] = e
+        self.least = {}
+        for delta in (k for k in range(1, n + 1) if n % k == 0):
+            least = [0] * delta
+            for x in range(1, field.q):
+                if not least[log[x] % delta]:
+                    least[log[x] % delta] = x
+            self.least[delta] = least
+        self.weights = weights
+
+    def size(self, a):
+        """The size of a's orbit when a is its lex-least point, else 0."""
+        n, log, least = self.order, self.log, self.least
+        step = 1
+        for w, x in zip(self.weights, a):
+            if x:
+                delta = gcd(step * w, n)
+                if x != least[delta][log[x] % delta]:
+                    return 0
+                step = lcm(step, n // gcd(w, n))
+        return step
+
+
+def orbit_weigher(spec):
+    """The orbit weight of each point `enumerate_family` walks, or None.
+
+    Two actions map a family to itself and keep every aggregate of its
+    scan:
+
+    - scaling, a_k -> c^(d-k) a_k for c in F_q^*, when every constraint is
+      weighted homogeneous with weight(A_k) = d - k (and q > 2: F_2^* is
+      trivial);
+    - Frobenius, a_k -> a_k^p, when every constraint coefficient c has
+      c^p = c (over F_{p^s}, s > 1).
+
+    The returned function takes the walked coordinates (the free ones on
+    the direct walk, the whole member on the filter) and gives |orbit|
+    when they are the lex-least point of their orbit, else 0.  When both
+    actions apply, only scaling is used: its orbits have up to q - 1
+    points, Frobenius's up to s.  None when neither applies.
+    """
+    field = spec.field
+    walked = spec.solution[0] if spec.direct else range(spec.d - 1)
+    # variable i is A_{d-1-i}, of weight i + 1
+    if field.q > 2 and all(
+        len({sum(k * e for k, e in enumerate(exps, 1)) for exps in g.terms}) == 1
+        for g in spec.constraints
+    ):
+        return _Scaling(field, [k + 1 for k in walked]).size
+    if field.s == 1:
+        return None
+    frob = [field.pow(x, field.p) for x in field.indices()]
+    if any(frob[c] != c for g in spec.constraints for c in g.terms.values()):
+        return None
+    images = [frob]
+    for _ in range(field.s - 2):
+        images.append([frob[x] for x in images[-1]])
+
+    def weigh(a):
+        # |orbit| is the least i >= 1 with frob^i(a) = a, and s at most
+        for i, image in enumerate(images, 1):
+            b = tuple(map(image.__getitem__, a))
+            if b < a:
+                return 0
+            if b == a:
+                return i
+        return field.s
+
+    return weigh
+
+
 def scan_family(spec, partition=None):
     """One pass over (a slice of) the family collecting the histogram sums,
-    the multiplicity patterns and the repeated-root loci."""
+    the multiplicity patterns and the repeated-root loci.
+
+    Where a symmetry applies (`orbit_weigher`), only the lex-least member
+    of each orbit is scanned, counted |orbit| times; otherwise every
+    member is, as in `scan_members`.
+    """
+    weigh = orbit_weigher(spec)
+    if weigh is None:
+        return scan_members(spec, partition)
+    result = ScanResult.empty(spec.d)
+    field = spec.field
+    for member, weight in enumerate_family(spec, partition, weigh):
+        result.member_count += weight
+        vf = _member_histogram(field, member, result.profile, result.patterns, weight)
+        result.sum_values += weight * vf
+        _repeated_root_profile(field, member, result.loci, result.witnesses, weight)
+    return result
+
+
+def scan_members(spec, partition=None):
+    """The scan of every member of (a slice of) the family, each once: the
+    plain loop, and the reference for the orbit-weighted scan."""
     result = ScanResult.empty(spec.d)
     field = spec.field
     for member in enumerate_family(spec, partition):

@@ -33,7 +33,11 @@ moves fastest, and evaluate polynomials only through `MultiPoly.eval`.
   coordinate is held in one clean term.
 
 `FamilySpec.space_size()` is the size of the index space `enumerate_family`
-walks, and a (lo, hi) slice of it is a clean unit of parallel work.
+walks, and a (lo, hi) slice of it is a clean unit of parallel work.  Given
+a `weigh` function of the walked coordinates, `enumerate_family` yields
+only the members it weighs nonzero, with their weights; the engine's scan
+passes its orbit weights this way, so on the direct walk a member it skips
+costs no rule evaluation.
 """
 
 from itertools import islice, product
@@ -132,7 +136,7 @@ def filter_family(spec, partition=None):
             yield a
 
 
-def enumerate_family(spec, partition=None):
+def enumerate_family(spec, partition=None, weigh=None):
     """Yield the members of the family in enumeration order.
 
     `partition` restricts to a (lo, hi) slice of [0, spec.space_size());
@@ -140,19 +144,35 @@ def enumerate_family(spec, partition=None):
     scans see each member exactly once.  A solved family whose rules read
     only to their left is walked directly over its free coordinates,
     anything else through the filter.
+
+    With `weigh`, yield (member, weight) pairs instead, for the members
+    whose walked coordinates weigh nonzero: weigh(values) is called on the
+    free coordinates on the direct walk, before any rule is evaluated, and
+    on the whole member on the filter.
     """
     if not spec.direct:
-        yield from filter_family(spec, partition)
+        members = filter_family(spec, partition)
+        if weigh is None:
+            yield from members
+            return
+        for a in members:
+            weight = weigh(a)
+            if weight:
+                yield a, weight
         return
     free, rules = spec.solution
     lo, hi = _check_partition(partition, spec.space_size())
     a = [0] * (spec.d - 1)
     for values in islice(product(range(spec.field.q), repeat=len(free)), lo, hi):
+        if weigh is not None:
+            weight = weigh(values)
+            if not weight:
+                continue
         for k, x in zip(free, values):
             a[k] = x
         for j, rule in rules:
             a[j] = rule.eval(a)
-        yield tuple(a)
+        yield tuple(a) if weigh is None else (tuple(a), weight)
 
 
 def family_cardinality(spec):

@@ -11,7 +11,7 @@ from textwrap import dedent
 
 import pytest
 
-from valuesets import cli
+from valuesets import cli, engine
 from valuesets.bounds import average_error_bound
 from valuesets.cli import main, run_experiment
 from valuesets.config import build_family, parse_config
@@ -373,6 +373,106 @@ def test_seed_check_sees_a_deflated_literal_oracle(monkeypatch, capsys):
     monkeypatch.setattr(cli, "count_interpolating_sets_direct", deflated)
     assert main(["--seed-check"]) == 3
     assert "direct subset oracle disagrees at r=2" in capsys.readouterr().err
+
+
+def _weights_off_by_one(monkeypatch):
+    true_weigher = engine.orbit_weigher
+
+    def off_by_one(spec):
+        weigh = true_weigher(spec)
+        assert weigh is not None
+        return lambda a: weigh(a) and weigh(a) + 1
+
+    monkeypatch.setattr(engine, "orbit_weigher", off_by_one)
+
+
+def test_seed_check_catches_an_orbit_weight_off_by_one(monkeypatch, capsys):
+    # the built-in family A2^2 - A1 over F_5 is weighted homogeneous, so its
+    # scan visits one member per scaling orbit
+    _weights_off_by_one(monkeypatch)
+    assert main(["--seed-check"]) == 3
+    assert "seed check failed" in capsys.readouterr().err
+
+
+def test_member_count_catches_an_orbit_weight_at_budget_zero(tmp_path, monkeypatch, capsys):
+    # no oracle runs at budget 0; the direct walk's q^(free) members do
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(PINNED_Q13.replace("A4 - 3", "A4"), encoding="utf-8")
+    _weights_off_by_one(monkeypatch)
+    assert main(["run", str(cfg_path), "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "the scan counts 2399 members, the direct walk has 2197" in err
+
+
+def test_oracles_catch_an_orbit_weight_on_the_filter(monkeypatch):
+    # A2^2 - A3*A1 is weighted homogeneous and has no clean term, so it is
+    # enumerated by the filter and no member count is known in advance
+    cfg = parse_config(FROBENIUS_F9.replace("p = 3\ns = 2", "p = 5")
+                       .replace("A2 + A3^2 + 1", "A2^2 - A3*A1"))
+    assert not build_family(cfg).direct
+    _weights_off_by_one(monkeypatch)
+    with pytest.raises(IdentityViolation, match="oracle disagrees"):
+        run_experiment(cfg)
+
+
+FROBENIUS_F9 = dedent(
+    """\
+    [field]
+    p = 3
+    s = 2
+
+    [family]
+    kind = custom
+    d = 4
+    m = 1
+    forms = A2 + A3^2 + 1
+
+    [run]
+    r_max = 4
+    """
+)
+
+SCALING_F7 = dedent(
+    """\
+    [field]
+    p = 7
+
+    [family]
+    kind = custom
+    d = 5
+    m = 1
+    forms = A4^2 - 3*A3
+
+    [run]
+    r_max = 5
+    """
+)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("text", [FROBENIUS_F9, SCALING_F7], ids=["frobenius-q9", "scaling-q7"])
+def test_orbit_family_checked_by_every_oracle(text, workers, monkeypatch):
+    # F_p coefficients over F_9, and a weighted-homogeneous graph over F_7:
+    # the scan visits one member per orbit, and at the default budget the
+    # DFS and all six literal oracles check it; the output equals that of
+    # the plain scan of every member
+    cfg = parse_config(text)
+    cfg.workers = workers
+    assert engine.orbit_weigher(build_family(cfg)) is not None
+    dfs_runs = []
+
+    def traced(*args):
+        dfs_runs.append(args)
+        return hermite_profile(*args)
+
+    monkeypatch.setattr(cli, "hermite_profile", traced)
+    report = run_experiment(cfg)
+    assert len(dfs_runs) == 1
+    assert report.to_summary().count(" agreed (") == 6
+    monkeypatch.setattr(engine, "orbit_weigher", lambda spec: None)
+    plain = run_experiment(parse_config(text))
+    assert plain.to_csv() == report.to_csv()
+    assert plain.to_summary() == report.to_summary()
 
 
 def test_empty_family_raises():
