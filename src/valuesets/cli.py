@@ -23,6 +23,7 @@ checks the scan's member count against it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -54,14 +55,13 @@ from .report import (
     format_count,
     format_magnitude,
     format_rational,
-    report_columns,
 )
 
 
 def _scan_slice(args):
     """Worker body: the family scan of one index slice."""
-    spec, index, index_range = args
-    return index, scan_family(spec, index_range)
+    spec, index_range = args
+    return scan_family(spec, index_range)
 
 
 # slices cut per pool process, at most; each slice is a pickled spec and a
@@ -76,12 +76,12 @@ def _gather(spec, workers):
     processes = min(slices, os.cpu_count() or 1)
     slices = min(slices, SLICES_PER_PROCESS * processes)
     ranges = partition_ranges(spec.space_size(), slices)
-    jobs = [(spec, i, rng) for i, rng in enumerate(ranges)]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        parts = sorted(pool.map(_scan_slice, jobs), key=lambda t: t[0])
+    jobs = [(spec, rng) for rng in ranges]
     scan = ScanResult.empty(spec.d)
-    for _, part in parts:
-        scan = scan.merge(part)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        # map yields in job order, so the merge keeps slice order
+        for part in pool.map(_scan_slice, jobs):
+            scan = scan.merge(part)
     return scan
 
 
@@ -167,7 +167,6 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
 
     diagnostics = run_all(spec, tuple(config.diag_extensions), scan=scan)
 
-    columns = report_columns(r_max)
     row = {
         "q": str(q),
         "p": str(config.p),
@@ -188,19 +187,19 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
         "error_over_sqrt_q": error_over_sqrt_q(deviation, q),
         "main_bound": format_magnitude(bound),
         "bound_satisfied": "true" if satisfied else "false",
-        "diagnostics": ";".join(f"{rep.check}={rep.status}" for rep in diagnostics),
     }
     for r in range(1, r_max + 1):
         row[f"S_{r}"] = format_count(scan.interpolating_count(r))
+    for r in range(1, r_max + 1):
         row[f"gamma_identity_{r}"] = "ok"
+    row["diagnostics"] = ";".join(f"{rep.check}={rep.status}" for rep in diagnostics)
 
     lines = [
         f"experiment {family_id}",
         f"field: q={q} (p={config.p}, s={config.s})",
         f"family: kind={config.kind} d={d} m={m} members={scan.member_count}",
     ]
-    exprs = config.shapes if config.kind == "symmetric" else config.forms
-    lines.append("constraints: " + "; ".join(exprs))
+    lines.append("constraints: " + "; ".join(config.exprs))
     lines.append(
         f"average value set: {average.numerator}/{average.denominator}"
         f" = {format_rational(average)}"
@@ -237,7 +236,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     for rep in diagnostics:
         lines.extend(rep.render().splitlines())
 
-    report = ExperimentReport(columns, row, lines)
+    report = ExperimentReport(list(row), row, lines)
     if config.csv_path:
         Path(config.csv_path).write_text(report.to_csv(), encoding="utf-8", newline="")
     if config.summary_path:
@@ -299,12 +298,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     runp = sub.add_parser("run", help="execute an experiment config")
     runp.add_argument("config_path", help="path to a sectioned key-value config")
+    # each override's dest is the ExperimentConfig field its key sets
     runp.add_argument("--workers", type=int, help="override run.workers")
-    runp.add_argument("--csv", help="override output.csv")
-    runp.add_argument("--summary", help="override output.summary")
+    runp.add_argument("--csv", dest="csv_path", metavar="CSV", help="override output.csv")
     runp.add_argument(
-        "--oracle-budget", type=int, dest="oracle_budget", help="override run.oracle_budget"
+        "--summary", dest="summary_path", metavar="SUMMARY", help="override output.summary"
     )
+    runp.add_argument("--oracle-budget", type=int, help="override run.oracle_budget")
     # SUPPRESS keeps the subparser from resetting a flag given before `run`
     runp.add_argument(
         "--seed-check", action="store_true", dest="seed_check", default=argparse.SUPPRESS
@@ -323,14 +323,10 @@ def main(argv=None) -> int:
             return rc
     try:
         config = parse_config(Path(args.config_path).read_text(encoding="utf-8"))
-        if args.workers is not None:
-            config.workers = args.workers
-        if args.csv is not None:
-            config.csv_path = args.csv
-        if args.summary is not None:
-            config.summary_path = args.summary
-        if args.oracle_budget is not None:
-            config.oracle_budget = args.oracle_budget
+        fields = {f.name for f in dataclasses.fields(config)}
+        for name, value in vars(args).items():
+            if name in fields and value is not None:
+                setattr(config, name, value)
         validate_config(config)
     except ValueError as exc:
         # ParseError, ValidationError, and the field and family errors

@@ -3,7 +3,9 @@
 The grammar (documented in docs/config_grammar.txt) is deliberately tiny:
 `[section]` headers, `key = value` entries, `#` comments, blank lines.
 Sections and keys are fixed; anything unrecognized is a ParseError with its
-line number.  Semantic violations (q <= d, r_max > d, ...) raise
+line number.  One table, `_KEYS`, holds each key's `ExperimentConfig`
+field, its parser and whether it is required; a key left out takes the
+field's default.  Semantic violations (q <= d, r_max > d, ...) raise
 ValidationError naming the broken precondition.  Constraint expressions are
 parsed eagerly so syntax errors surface at config time with positions.
 """
@@ -21,13 +23,6 @@ from .exprs import (
 from .families import FamilySpec, linear_family, symmetric_family
 from .ffield import field_new
 from .incidence import DEFAULT_ORACLE_BUDGET
-
-_SECTIONS = {
-    "field": {"p", "s", "modulus"},
-    "family": {"kind", "d", "m", "forms", "s_count", "S"},
-    "run": {"r_max", "oracle_budget", "diag_extensions", "workers"},
-    "output": {"csv", "summary"},
-}
 
 _KINDS = ("linear", "symmetric", "custom")
 
@@ -58,9 +53,14 @@ class ExperimentConfig:
     def effective_r_max(self) -> int:
         return self.d if self.r_max is None else self.r_max
 
+    @property
+    def exprs(self) -> tuple:
+        """The constraint expressions: the shapes of a symmetric family,
+        the forms of any other."""
+        return self.shapes if self.kind == "symmetric" else self.forms
+
     def family_id(self) -> str:
-        exprs = self.shapes if self.kind == "symmetric" else self.forms
-        tag = "&".join(e.replace(" ", "") for e in exprs)
+        tag = "&".join(e.replace(" ", "") for e in self.exprs)
         return f"{self.kind}-d{self.d}-m{self.m}-{tag}"
 
 
@@ -75,14 +75,51 @@ def _int_list(value, line, key):
     return tuple(_int(part.strip(), line, key) for part in value.split(",") if part.strip())
 
 
-def _expr_list(value):
+def _expr_list(value, line, key):
     return tuple(part.strip() for part in value.split(";") if part.strip())
+
+
+def _text(value, line, key):
+    return value
+
+
+def _kind(value, line, key):
+    if value not in _KINDS:
+        raise ValidationError(f"unknown family kind {value!r}, expected one of {_KINDS}")
+    return value
+
+
+# key -> (ExperimentConfig field, parser, required), read in this order, so
+# a config with several faults reports the same one first on every run
+_KEYS = {
+    "field.p": ("p", _int, True),
+    "field.s": ("s", _int, False),
+    "field.modulus": ("modulus", _int_list, False),
+    "family.kind": ("kind", _kind, False),
+    "family.d": ("d", _int, True),
+    "family.m": ("m", _int, True),
+    "family.forms": ("forms", _expr_list, False),
+    "family.s_count": ("s_count", _int, False),
+    "family.S": ("shapes", _expr_list, False),
+    "run.r_max": ("r_max", _int, False),
+    "run.oracle_budget": ("oracle_budget", _int, False),
+    "run.diag_extensions": ("diag_extensions", _int_list, False),
+    "run.workers": ("workers", _int, False),
+    "output.csv": ("csv_path", _text, False),
+    "output.summary": ("summary_path", _text, False),
+}
+
+_SECTIONS = {key.partition(".")[0] for key in _KEYS}
+
+
+def _key_of(name):
+    """The config key that sets the field `name`."""
+    return next(key for key, (field, _, _) in _KEYS.items() if field == name)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config; defaults applied, family built eagerly."""
-    raw: dict = {}
-    lines_of: dict = {}
+    raw: dict = {}  # key -> (value, line number)
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
@@ -101,69 +138,20 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError("key outside any [section]", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _SECTIONS[section]:
-            raise ParseError(f"unknown key {key} in [{section}]", line=lineno)
         full = f"{section}.{key}"
+        if full not in _KEYS:
+            raise ParseError(f"unknown key {key} in [{section}]", line=lineno)
         if full in raw:
             raise ParseError(f"duplicate key {full}", line=lineno)
-        raw[full] = value
-        lines_of[full] = lineno
+        raw[full] = (value.strip(), lineno)
 
-    def take(full, default=None):
-        return raw.pop(full, default)
-
-    def need(full):
-        if full not in raw:
-            raise ValidationError(f"missing required key {full}")
-        return raw.pop(full)
-
-    p = _int(need("field.p"), lines_of.get("field.p"), "field.p")
-    s = _int(take("field.s", "1"), lines_of.get("field.s"), "field.s")
-    modulus = take("field.modulus")
-    if modulus is not None:
-        modulus = _int_list(modulus, lines_of.get("field.modulus"), "field.modulus")
-    kind = take("family.kind", "custom")
-    if kind not in _KINDS:
-        raise ValidationError(f"unknown family kind {kind!r}, expected one of {_KINDS}")
-    d = _int(need("family.d"), lines_of.get("family.d"), "family.d")
-    m = _int(need("family.m"), lines_of.get("family.m"), "family.m")
-    forms = _expr_list(take("family.forms", ""))
-    s_count = take("family.s_count")
-    if s_count is not None:
-        s_count = _int(s_count, lines_of.get("family.s_count"), "family.s_count")
-    shapes = _expr_list(take("family.S", ""))
-    r_max = take("run.r_max")
-    if r_max is not None:
-        r_max = _int(r_max, lines_of.get("run.r_max"), "run.r_max")
-    budget = _int(
-        take("run.oracle_budget", str(DEFAULT_ORACLE_BUDGET)),
-        lines_of.get("run.oracle_budget"),
-        "run.oracle_budget",
-    )
-    diag = _int_list(
-        take("run.diag_extensions", "1,2"),
-        lines_of.get("run.diag_extensions"),
-        "run.diag_extensions",
-    )
-    workers = _int(take("run.workers", "1"), lines_of.get("run.workers"), "run.workers")
-    config = ExperimentConfig(
-        p=p,
-        s=s,
-        modulus=modulus,
-        kind=kind,
-        d=d,
-        m=m,
-        forms=forms,
-        s_count=s_count,
-        shapes=shapes,
-        r_max=r_max,
-        oracle_budget=budget,
-        diag_extensions=diag,
-        workers=workers,
-        csv_path=take("output.csv"),
-        summary_path=take("output.summary"),
-    )
+    fields = {}
+    for key, (name, parse, required) in _KEYS.items():
+        if key in raw:
+            fields[name] = parse(*raw[key], key)
+        elif required:
+            raise ValidationError(f"missing required key {key}")
+    config = ExperimentConfig(**fields)
     validate_config(config)
     return config
 
@@ -185,22 +173,16 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValidationError("diag_extensions must name at least one extension degree")
     if any(k < 1 for k in config.diag_extensions):
         raise ValidationError("diag_extensions must be positive integers")
-    if config.kind == "symmetric":
-        if config.s_count is None:
-            raise ValidationError("symmetric families require family.s_count")
-        if not config.shapes:
-            raise ValidationError("symmetric families require family.S")
-        if len(config.shapes) != config.m:
-            raise ValidationError(
-                f"m must match the number of shapes (m={config.m}, shapes={len(config.shapes)})"
-            )
-    else:
-        if not config.forms:
-            raise ValidationError(f"{config.kind} families require family.forms")
-        if len(config.forms) != config.m:
-            raise ValidationError(
-                f"m must match the number of forms (m={config.m}, forms={len(config.forms)})"
-            )
+    symmetric = config.kind == "symmetric"
+    if symmetric and config.s_count is None:
+        raise ValidationError(f"symmetric families require {_key_of('s_count')}")
+    noun = "shapes" if symmetric else "forms"
+    if not config.exprs:
+        raise ValidationError(f"{config.kind} families require {_key_of(noun)}")
+    if len(config.exprs) != config.m:
+        raise ValidationError(
+            f"m must match the number of {noun} (m={config.m}, {noun}={len(config.exprs)})"
+        )
     build_family(config)
 
 

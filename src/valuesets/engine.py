@@ -54,6 +54,7 @@ literal S_r oracle among them, live in `incidence`.
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd, lcm, perm
 
 from .errors import ParameterRange
@@ -499,23 +500,22 @@ def scan_family(spec, partition=None):
     weigh = orbit_weigher(spec)
     if weigh is None:
         return scan_members(spec, partition)
-    result = ScanResult.empty(spec.d)
-    field = spec.field
-    for member, weight in enumerate_family(spec, partition, weigh):
-        result.member_count += weight
-        vf = _member_histogram(field, member, result.profile, result.patterns, weight)
-        result.sum_values += weight * vf
-        _repeated_root_profile(field, member, result.loci, result.witnesses, weight)
-    return result
+    return _scan(spec, enumerate_family(spec, partition, weigh))
 
 
 def scan_members(spec, partition=None):
     """The scan of every member of (a slice of) the family, each once: the
     plain loop, and the reference for the orbit-weighted scan."""
+    return _scan(spec, zip(enumerate_family(spec, partition), repeat(1)))
+
+
+def _scan(spec, weighted):
+    """Scan `(member, weight)` pairs, each member counted weight times."""
     result = ScanResult.empty(spec.d)
     field = spec.field
-    for member in enumerate_family(spec, partition):
-        result.member_count += 1
-        result.sum_values += _member_histogram(field, member, result.profile, result.patterns)
-        _repeated_root_profile(field, member, result.loci, result.witnesses)
+    for member, weight in weighted:
+        result.member_count += weight
+        vf = _member_histogram(field, member, result.profile, result.patterns, weight)
+        result.sum_values += weight * vf
+        _repeated_root_profile(field, member, result.loci, result.witnesses, weight)
     return result

@@ -8,9 +8,9 @@ Numbers follow three fixed rules so reruns are byte-identical:
 - log-space magnitudes (the headline allowances) print the same way from
   their stored logarithm.
 
-CSV output is UTF-8 with LF line endings, one header row, and the column
-order documented in the README; the per-r column block repeats for
-r = 1..r_max.
+CSV output is UTF-8 with LF line endings and one header row; the columns
+are the row's keys in order (documented in the README), and the per-r
+column blocks run over r = 1..r_max.
 """
 
 from __future__ import annotations
@@ -73,33 +73,3 @@ class ExperimentReport:
 
     def to_summary(self) -> str:
         return "\n".join(self.summary_lines) + "\n"
-
-
-def report_columns(r_max: int) -> list:
-    head = [
-        "q",
-        "p",
-        "s",
-        "d",
-        "m",
-        "family_id",
-        "family_size",
-        "avg_value_set_num",
-        "avg_value_set_den",
-        "avg_value_set",
-        "mu_d_q_num",
-        "mu_d_q_den",
-        "mu_d_q",
-        "deviation_num",
-        "deviation_den",
-        "deviation",
-        "error_over_sqrt_q",
-        "main_bound",
-        "bound_satisfied",
-    ]
-    for r in range(1, r_max + 1):
-        head.append(f"S_{r}")
-    for r in range(1, r_max + 1):
-        head.append(f"gamma_identity_{r}")
-    head.append("diagnostics")
-    return head

