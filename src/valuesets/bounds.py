@@ -1,5 +1,14 @@
 """Explicit constants and error bounds for the point-count estimates.
 
+One estimate underlies the exact allowances: the F_q-points of a complete
+intersection V of dimension l, degree delta and excess sum D satisfy
+
+    |#V - q^l| <= (delta*(D-2)+2)*q^(l-1/2) + 14*D^2*delta^2*q^(l-1),
+
+stated once, in `_deviation`.  `point_count_error_bound` is that estimate,
+`family_size_bracket` puts twice it above q^e, and `interp_count_error_bound`
+applies it to the family cut with the r divided-difference equations.
+
 Arithmetic policy, in order of preference:
 
 * Integer-valued constants and bounds use exact big integers.  Where a
@@ -16,57 +25,9 @@ Arithmetic policy, in order of preference:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, isqrt, log, log1p, sqrt
+from math import comb, exp, factorial, isqrt, log, log1p, perm, sqrt
 
 from .errors import ParameterRange
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Degree bookkeeping for a family with constraint degrees `degrees`
-    and r divided-difference equations of degrees d, d-1, ..., d-r+1."""
-
-    d: int
-    m: int
-    degrees: tuple
-    r: int
-    deg_product: int  # product of constraint degrees
-    excess_sum: int  # sum of (degree - 1) over constraints
-    dd_deg_product: int  # d! / (d-r)!
-    dd_excess_sum: int  # r*d - r*(r+1)/2
-    total_deg_product: int
-    total_excess_sum: int
-
-
-def constants(d, degrees, r):
-    degrees = tuple(degrees)
-    if not degrees:
-        raise ParameterRange("need at least one constraint degree")
-    if any(e < 1 for e in degrees):
-        raise ParameterRange(f"constraint degrees must be >= 1, got {degrees}")
-    if not 1 <= r <= d:
-        raise ParameterRange(f"need 1 <= r <= d, got r={r}, d={d}")
-    deg_product = 1
-    excess_sum = 0
-    for e in degrees:
-        deg_product *= e
-        excess_sum += e - 1
-    dd_deg_product = 1
-    for i in range(1, r + 1):
-        dd_deg_product *= d - i + 1
-    dd_excess_sum = r * d - r * (r + 1) // 2
-    return BoundConstants(
-        d,
-        len(degrees),
-        degrees,
-        r,
-        deg_product,
-        excess_sum,
-        dd_deg_product,
-        dd_excess_sum,
-        deg_product * dd_deg_product,
-        excess_sum + dd_excess_sum,
-    )
 
 
 def _pair_constants(multidegree):
@@ -80,15 +41,19 @@ def _pair_constants(multidegree):
     return delta, excess
 
 
+def _deviation(delta, excess, l, q):
+    """Right side of the module header's estimate at dimension l, degree
+    delta and excess sum D = excess; exact integer, floor on sqrt(q)."""
+    return ((delta * (excess - 2) + 2) * isqrt(q) + 14 * excess**2 * delta**2) * q ** (l - 1)
+
+
 def point_count_error_bound(l, multidegree, q):
     """Deviation allowance |count - p_l| for a normal complete intersection
     of dimension l and the given multidegree; exact integer, floor on sqrt(q).
     """
     if l < 2:
         raise ParameterRange(f"need dimension l >= 2, got {l}")
-    delta, excess = _pair_constants(multidegree)
-    lead = delta * (excess - 2) + 2
-    return lead * isqrt(q) * q ** (l - 1) + 14 * excess**2 * delta**2 * q ** (l - 1)
+    return _deviation(*_pair_constants(multidegree), l, q)
 
 
 def size_threshold_ok(degrees, q):
@@ -118,28 +83,31 @@ def family_size_bracket(d, m, degrees, q, inclusive=False):
     """
     if d < m + 2:
         raise ParameterRange(f"need d >= m+2, got d={d}, m={m}")
-    delta, excess = _pair_constants(degrees)
     e = d - m - 1 + (1 if inclusive else 0)
-    lead = delta * (excess - 2) + 2
-    upper = q**e + 2 * lead * isqrt(q) * q ** (e - 1) + 28 * excess**2 * delta**2 * q ** (e - 1)
+    upper = q**e + 2 * _deviation(*_pair_constants(degrees), e, q)
     return FamilySizeBracket(
         e, Fraction(q**e, 2), upper, size_threshold_ok(degrees, q)
     )
 
 
 def interp_count_error_bound(d, m, degrees, r, q):
-    """Deviation allowance |S_r - q^(d-m)/r!|; exact Fraction, floor on sqrt(q)."""
-    c = constants(d, degrees, r)
-    lead = c.total_deg_product * (c.total_excess_sum - 2) + 2
-    tail = (
-        14 * c.total_excess_sum**2 * c.total_deg_product**2
-        + comb(r, 2) * c.total_deg_product
-        + 4 * r * c.deg_product
-    )
-    fact = 1
-    for i in range(2, r + 1):
-        fact *= i
-    return Fraction(lead * isqrt(q) + tail, fact) * q ** (d - m - 1)
+    """Deviation allowance |S_r - q^(d-m)/r!|; exact Fraction, floor on sqrt(q).
+
+    The family's constraints and the r divided-difference equations, of
+    degrees d, d-1, ..., d-r+1, cut out a complete intersection of dimension
+    d-m, degree delta*d!/(d-r)! and excess sum D + r*d - r(r+1)/2.
+    """
+    if d < m + 2:
+        raise ParameterRange(f"need d >= m+2, got d={d}, m={m}")
+    if not degrees:
+        raise ParameterRange("need at least one constraint degree")
+    if not 1 <= r <= d:
+        raise ParameterRange(f"need 1 <= r <= d, got r={r}, d={d}")
+    delta, excess = _pair_constants(degrees)
+    delta_tot = delta * perm(d, r)
+    excess_tot = excess + r * d - comb(r + 1, 2)
+    tail = (comb(r, 2) * delta_tot + 4 * r * delta) * q ** (d - m - 1)
+    return Fraction(_deviation(delta_tot, excess_tot, d - m, q) + tail, factorial(r))
 
 
 # --- log-space magnitudes ----------------------------------------------------
@@ -207,14 +175,12 @@ def average_error_bound(d, m, degrees, q):
 def average_error_bound_linear(d, q):
     """Allowance for full-rank degree-1 constraints: 2^d*d^2*sqrt(q) + 268*tail.
 
-    Valid when the characteristic does not divide d*(d-1); agrees with
-    average_error_bound at all-ones degrees since 268 = 4 * 67.
+    Valid when the characteristic does not divide d*(d-1); it is
+    average_error_bound at unit degrees (delta 1, excess 0, 268 = 4 * 67).
     """
     if d < 3:
         raise ParameterRange(f"need d >= 3, got {d}")
-    term1 = LogMagnitude(log(2**d * d * d) + 0.5 * log(q))
-    term2 = LogMagnitude(_transcendental_tail_ln(d, 268))
-    return term1.plus(term2)
+    return average_error_bound(d, 1, (1,), q)
 
 
 def average_bound_applicable(d, m, degrees, q):
@@ -238,11 +204,8 @@ def value_set_term_profile(d):
     if d < 2:
         raise ParameterRange(f"need d >= 2, got {d}")
     values = []
-    fact = 1
-    for i in range(1, d + 1):
-        fact *= i
     # h(k) = C(d,k)^2 * (d-k)!
-    falling = fact
+    falling = factorial(d)
     for k in range(d):
         values.append(comb(d, k) ** 2 * falling)
         falling //= d - k

@@ -165,7 +165,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     satisfied = bound.covers(deviation)
     applicable = average_bound_applicable(d, m, degrees, q)
 
-    diagnostics = run_all(spec, tuple(config.diag_extensions), scan=scan)
+    diagnostics = run_all(spec, scan, tuple(config.diag_extensions))
 
     row = {
         "q": str(q),
@@ -236,7 +236,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     for rep in diagnostics:
         lines.extend(rep.render().splitlines())
 
-    report = ExperimentReport(list(row), row, lines)
+    report = ExperimentReport(row, lines)
     if config.csv_path:
         Path(config.csv_path).write_text(report.to_csv(), encoding="utf-8", newline="")
     if config.summary_path:

@@ -19,7 +19,7 @@ points over small extensions:
   triple root, or a root whose multiplicity the characteristic divides)
   should have codimension one resp. two inside the family; counts N1, N2 are
   compared against Bezout-style allowances.  The counts come from the family
-  scan (`engine.scan_family`).
+  scan (`engine.scan_family`), which the caller hands in.
 
 Only the regularity checks enumerate here, and only over a family that
 `FamilySpec` could not solve, such as the top form A3^3.  A solved family
@@ -43,7 +43,6 @@ from fractions import Fraction
 from math import prod
 
 from .bounds import family_size_bracket
-from .engine import scan_family
 from .families import FamilySpec, enumerate_family
 from .ffield import embedding_table, field_new
 from .linalg import rank
@@ -238,7 +237,7 @@ def check_regularity_at_infinity(
     return _regularity_report("regularity-at-infinity", top, extension_degrees)
 
 
-def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
+def check_discriminant_loci(spec: FamilySpec, scan) -> DiagnosticReport:
     """Count members-with-shift whose polynomial has a repeated root.
 
     N1 counts pairs (member, a_0) with deg gcd(f, f') >= 1, where f is the
@@ -255,10 +254,8 @@ def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
     are Bezout-style, c1 = delta * d(d-1) and c2 = delta * (d(d-1))^2 with
     delta the product of constraint degrees.  Counts on the order of the
     next-higher power of q are an outright fail.
-    The counts and witnesses are read from `scan`, by default a new scan.
+    The counts and witnesses are read from `scan`, the family's scan.
     """
-    if scan is None:
-        scan = scan_family(spec)
     d, m, q = spec.d, spec.m, spec.field.q
     dim_v = d - m
     delta = prod(spec.degrees)
@@ -329,11 +326,9 @@ def check_discriminant_loci(spec: FamilySpec, scan=None) -> DiagnosticReport:
     )
 
 
-def run_all(
-    spec: FamilySpec, extension_degrees=(1, 2), scan=None
-) -> list[DiagnosticReport]:
-    """The three checks in a fixed order, as consumed by the CLI, which
-    passes its family scan on to `check_discriminant_loci`."""
+def run_all(spec: FamilySpec, scan, extension_degrees=(1, 2)) -> list[DiagnosticReport]:
+    """The three checks in a fixed order, as consumed by the CLI; the family
+    scan goes on to `check_discriminant_loci`."""
     return [
         check_regularity(spec, extension_degrees),
         check_regularity_at_infinity(spec, extension_degrees),

@@ -54,7 +54,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, perm
 
-from .engine import scan_family
 from .errors import BudgetExceeded, IdentityViolation, ParameterRange
 from .families import enumerate_family, family_cardinality, filter_family
 
@@ -174,14 +173,12 @@ def check_pattern_counts(star, coinc, dfs_star, dfs_coinc):
             )
 
 
-def collect(spec, r_max, scan=None):
+def collect(spec, r_max, scan):
     """IncidenceCounts for r = 1..r_max, every identity checked first.
 
     The tuple counts come from the prefix DFS and are checked against the
-    scan's multiplicity patterns as well as the subtraction identity.
+    family's scan: its multiplicity patterns and the subtraction identity.
     """
-    if scan is None:
-        scan = scan_family(spec)
     star, coinc = hermite_profile(spec, r_max)
     check_identities(scan, star, coinc, r_max, repr(spec))
     check_pattern_counts(*scan.tuple_profile(r_max), star, coinc)

@@ -60,15 +60,14 @@ def error_over_sqrt_q(deviation: Fraction, q: int) -> str:
 class ExperimentReport:
     """One experiment run: a fixed-order CSV row plus summary payload."""
 
-    columns: list
     row: dict
     summary_lines: list = dc_field(default_factory=list)
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerow([self.row[c] for c in self.columns])
+        writer.writerow(self.row.keys())
+        writer.writerow(self.row.values())
         return out.getvalue()
 
     def to_summary(self) -> str:

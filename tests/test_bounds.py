@@ -9,7 +9,6 @@ from valuesets.bounds import (
     average_bound_applicable,
     average_error_bound,
     average_error_bound_linear,
-    constants,
     family_size_bracket,
     interp_count_error_bound,
     point_count_error_bound,
@@ -19,33 +18,111 @@ from valuesets.bounds import (
 from valuesets.errors import ParameterRange
 
 
+# The three bounds with the point-count estimate written out in each, as
+# they read before it moved into `bounds._deviation`: the reference that the
+# derived bounds must match exactly.
+
+
+def _ref_pair(degrees):
+    delta, excess = 1, 0
+    for e in degrees:
+        delta *= e
+        excess += e - 1
+    return delta, excess
+
+
+def _ref_point_count(l, degrees, q):
+    delta, excess = _ref_pair(degrees)
+    lead = delta * (excess - 2) + 2
+    return lead * isqrt(q) * q ** (l - 1) + 14 * excess**2 * delta**2 * q ** (l - 1)
+
+
+def _ref_bracket_upper(d, m, degrees, q, inclusive):
+    delta, excess = _ref_pair(degrees)
+    e = d - m - 1 + (1 if inclusive else 0)
+    lead = delta * (excess - 2) + 2
+    return q**e + 2 * lead * isqrt(q) * q ** (e - 1) + 28 * excess**2 * delta**2 * q ** (e - 1)
+
+
+def _ref_interp(d, m, degrees, r, q):
+    deg_product, excess_sum = _ref_pair(degrees)
+    dd_deg_product = 1
+    for i in range(1, r + 1):
+        dd_deg_product *= d - i + 1
+    total_deg = deg_product * dd_deg_product
+    total_excess = excess_sum + r * d - r * (r + 1) // 2
+    lead = total_deg * (total_excess - 2) + 2
+    tail = 14 * total_excess**2 * total_deg**2 + comb(r, 2) * total_deg + 4 * r * deg_product
+    return Fraction(lead * isqrt(q) + tail, factorial(r)) * q ** (d - m - 1)
+
+
 def test_constants_worked_example():
-    c = constants(4, [1], 2)
-    assert (c.deg_product, c.excess_sum) == (1, 0)
-    assert (c.dd_deg_product, c.dd_excess_sum) == (12, 5)
-    assert (c.total_deg_product, c.total_excess_sum) == (12, 5)
+    # d=4, one linear constraint, r=2: the cut has degree 12 = 4*3 and
+    # excess sum 5 = 3+2, so the allowance is ((12*3+2)*sqrt(q) + 14*25*144
+    # + 1*12 + 4*2*1) * q^2 / 2!
+    for q in (5, 11, 49, 121):
+        want = Fraction((38 * isqrt(q) + 50_420) * q**2, 2)
+        assert interp_count_error_bound(4, 1, [1], 2, q) == want
+    assert interp_count_error_bound(4, 1, [1], 2, 11) == 3_057_307
 
 
 def test_constants_basic():
-    c = constants(5, [2, 3], 1)
-    assert c.deg_product == 6 and c.excess_sum == 3
-    for d in (3, 4, 5, 7):
-        assert constants(d, [1], d).dd_deg_product == factorial(d)
+    # at q = 10^40 the allowance times r!/q^(d-m-1) splits into the lead
+    # coefficient (times isqrt(q) = 10^20) and a tail below 10^20, which
+    # exposes the degree d!/(d-r)! and the excess sum sum_{i<=r} (d-i)
+    q, root = 10**40, 10**20
+    cases = [(d, [1], 1, 0) for d in (3, 4, 5, 7)] + [(d, [2, 3], 6, 3) for d in (4, 5, 7)]
+    for d, degrees, delta, excess in cases:
+        m = len(degrees)
         for r in range(1, d + 1):
-            c = constants(d, [1], r)
-            assert c.dd_deg_product == factorial(d) // factorial(d - r)
-            assert c.dd_excess_sum == sum(d - i for i in range(1, r + 1))
+            scaled = interp_count_error_bound(d, m, degrees, r, q) * factorial(r)
+            scaled /= q ** (d - m - 1)
+            assert scaled.denominator == 1
+            lead, tail = divmod(scaled.numerator, root)
+            total_deg = delta * (factorial(d) // factorial(d - r))
+            total_excess = excess + sum(d - i for i in range(1, r + 1))
+            assert lead == total_deg * (total_excess - 2) + 2, (d, m, r)
+            assert tail == (
+                14 * total_excess**2 * total_deg**2 + comb(r, 2) * total_deg + 4 * r * delta
+            ), (d, m, r)
 
 
 def test_constants_errors():
     with pytest.raises(ParameterRange):
-        constants(4, [], 1)
+        interp_count_error_bound(4, 1, [], 1, 11)
     with pytest.raises(ParameterRange):
-        constants(4, [0], 1)
+        interp_count_error_bound(4, 1, [0], 1, 11)
     with pytest.raises(ParameterRange):
-        constants(4, [1], 0)
+        interp_count_error_bound(4, 1, [1], 0, 11)
     with pytest.raises(ParameterRange):
-        constants(4, [1], 5)
+        interp_count_error_bound(4, 1, [1], 5, 11)
+
+
+def test_interp_count_error_bound_needs_d_at_least_m_plus_2():
+    # below d = m+2, q^(d-m-1) would take a negative exponent and the
+    # allowance turn float; the bracket and the headline allowance refuse too
+    for d, m in ((3, 3), (3, 2), (5, 4)):
+        with pytest.raises(ParameterRange, match="d >= m\\+2"):
+            interp_count_error_bound(d, m, [1] * m, 1, 5)
+
+
+def test_bounds_match_the_reference_formulas():
+    shapes = ([1], [2], [2, 3], [1, 1, 4], [3, 3])
+    for q in (2, 4, 5, 9, 11, 16, 25, 49, 121, 397, 10**6 + 3):
+        for degrees in shapes:
+            for l in (2, 3, 4):
+                got = point_count_error_bound(l, degrees, q)
+                assert got == _ref_point_count(l, degrees, q), (l, degrees, q)
+            m = len(degrees)
+            for d in range(m + 2, m + 6):  # d = m+2 puts the bracket at e = 1
+                for inclusive in (False, True):
+                    got = family_size_bracket(d, m, degrees, q, inclusive).upper
+                    want = _ref_bracket_upper(d, m, degrees, q, inclusive)
+                    assert got == want, (d, m, degrees, q, inclusive)
+                for r in range(1, d + 1):
+                    got = interp_count_error_bound(d, m, degrees, r, q)
+                    want = _ref_interp(d, m, degrees, r, q)
+                    assert type(got) is Fraction and got == want, (d, m, degrees, r, q)
 
 
 def test_point_count_error_bound_worked():

@@ -88,8 +88,8 @@ def test_r_max_one_narrows_columns():
     for r_max, block in per_r.items():
         cfg = parse_config(SMALL_Q7.replace("r_max = 3", f"r_max = {r_max}"))
         report = run_experiment(cfg)
-        assert report.columns == head + block + ["diagnostics"]
-        assert report.to_csv().split("\n")[0] == ",".join(report.columns)
+        assert list(report.row) == head + block + ["diagnostics"]
+        assert report.to_csv().split("\n")[0] == ",".join(report.row)
         assert report.row["S_1"] == str(7 * 7)
 
 

@@ -112,7 +112,7 @@ def test_too_many_constraints_give_inconclusive_not_traceback():
         assert rep.status == INCONCLUSIVE
         assert "size bracket needs d >= m+2" in rep.text
         assert rep.evidence == {"constant": 4, "dimension": 0}
-    assert [rep.status for rep in run_all(spec)][:2] == [INCONCLUSIVE, INCONCLUSIVE]
+    assert [rep.status for rep in run_all(spec, scan_family(spec))][:2] == [INCONCLUSIVE, INCONCLUSIVE]
 
 
 def test_solved_families_are_not_walked(monkeypatch):
@@ -137,7 +137,8 @@ def test_solved_families_are_not_walked(monkeypatch):
         "k2.skipped": "256^4 candidates exceed budget 300000",
     }
     f5 = field_new(5)
-    reports = run_all(linear_family(f5, 4, 1, [constraint(f5, 4, "A3")]))
+    graph = linear_family(f5, 4, 1, [constraint(f5, 4, "A3")])
+    reports = run_all(graph, scan_family(graph))
     expected = {"constant": 1, "dimension": 2}
     for k, big_q in ((1, 5), (2, 25)):
         expected.update({
@@ -167,7 +168,7 @@ def test_empty_family_is_inconclusive_everywhere():
     one = MultiPoly.constant(f5, 3, 1)
     spec = FamilySpec(f5, 4, 1, [one])
     assert check_regularity(spec).status == INCONCLUSIVE
-    rep = check_discriminant_loci(spec)
+    rep = check_discriminant_loci(spec, scan_family(spec))
     assert rep.status == INCONCLUSIVE
     assert rep.evidence["members"] == 0
 
@@ -177,7 +178,7 @@ def test_char2_family_with_vanishing_derivative_fails_loci_check():
     # derivative is identically zero, so every shift has a repeated root
     f8 = field_new(2, 3)
     spec = spec_of(f8, 4, ["A3", "A1"])
-    rep = check_discriminant_loci(spec)
+    rep = check_discriminant_loci(spec, scan_family(spec))
     assert rep.status == FAIL
     assert rep.evidence["members"] == 8
     assert rep.evidence["n1"] == 64 == rep.evidence["pairs"]
@@ -205,7 +206,7 @@ def test_derivative_zero_pairs_not_inferred_from_full_loci():
 def test_linear_family_loci_pass_and_nonempty(q, d):
     field = field_new(q)
     spec = linear_family(field, d, 1, [constraint(field, d, f"A{d - 1}")])
-    rep = check_discriminant_loci(spec)
+    rep = check_discriminant_loci(spec, scan_family(spec))
     assert rep.status == PASS
     assert "necessary conditions only" in rep.text
     # the repeated-root locus is nonempty: codimension one, not zero or empty
@@ -217,7 +218,7 @@ def test_loci_counts_match_resultant_definition():
     # including members whose derivative vanishes identically (T^3 over F_3)
     f3 = field_new(3)
     spec = spec_of(f3, 3, ["A1"])
-    rep = check_discriminant_loci(spec)
+    rep = check_discriminant_loci(spec, scan_family(spec))
     n1 = n2 = 0
     for member in enumerate_family(spec):
         for a0 in f3.indices():
@@ -234,7 +235,7 @@ def test_loci_counts_match_resultant_definition():
 def test_loci_witness_reproduces_a_repeated_root():
     f11 = field_new(11)
     spec = spec_of(f11, 4, ["A3", "A1"])  # T^4 + a2 T^2 + a0
-    rep = check_discriminant_loci(spec)
+    rep = check_discriminant_loci(spec, scan_family(spec))
     # whatever the status, a recorded witness must name a genuine pair
     if rep.witness is not None:
         *tail, a0 = rep.witness
@@ -247,13 +248,15 @@ def test_reports_are_deterministic():
     f5 = field_new(5)
     spec = spec_of(f5, 4, ["A3^2 - A2"])
     assert check_regularity(spec) == check_regularity(spec)
-    assert check_discriminant_loci(spec) == check_discriminant_loci(spec)
+    assert check_discriminant_loci(spec, scan_family(spec)) == check_discriminant_loci(
+        spec, scan_family(spec)
+    )
 
 
 def test_run_all_order_and_pass_texts():
     f11 = field_new(11)
     spec = linear_family(f11, 4, 1, [constraint(f11, 4, "A3")])
-    reports = run_all(spec)
+    reports = run_all(spec, scan_family(spec))
     assert [r.check for r in reports] == [
         "regularity",
         "regularity-at-infinity",

@@ -66,7 +66,7 @@ def test_hermite_matches_division_oracle():
 
 def test_subtraction_identity_and_collect():
     for spec in [spec_a2_f5(), quad_spec(F5, 4), linear_family(F7, 4, 1, [constraint("A3", F7, 4)])]:
-        counts = collect(spec, spec.d)
+        counts = collect(spec, spec.d, scan_family(spec))
         for c in counts:
             assert c.distinct == c.hermite - c.coincident
             assert c.distinct % factorial(c.r) == 0
@@ -121,7 +121,7 @@ def test_collect_rejects_tampered_scan():
     scan = scan_family(spec)
     scan.profile[1] += 1  # corrupt the histogram: identity must catch it
     with pytest.raises(IdentityViolation):
-        collect(spec, 2, scan=scan)
+        collect(spec, 2, scan)
 
 
 def test_oracle_budgets():

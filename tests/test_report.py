@@ -63,7 +63,7 @@ def test_report_columns_and_csv_shape():
     assert cols[-1] == "diagnostics"
     assert cols.index("gamma_identity_1") > cols.index("S_2")
     row = {c: "x" for c in cols}
-    text = ExperimentReport(cols, row).to_csv()
+    text = ExperimentReport(row).to_csv()
     lines = text.split("\n")
     assert lines[0] == ",".join(cols)
     assert lines[1] == ",".join(["x"] * len(cols))
@@ -71,5 +71,5 @@ def test_report_columns_and_csv_shape():
 
 
 def test_summary_join():
-    rep = ExperimentReport(["q"], {"q": "7"}, ["line one", "line two"])
+    rep = ExperimentReport({"q": "7"}, ["line one", "line two"])
     assert rep.to_summary() == "line one\nline two\n"
