@@ -41,6 +41,17 @@ def _pair_constants(multidegree):
     return delta, excess
 
 
+def _family_constants(d, m, degrees):
+    """_pair_constants of a family of m constraints in d-1 coordinates;
+    raises ParameterRange unless there is one degree per constraint and
+    d >= m+2, which every family estimate here needs."""
+    if len(degrees) != m:
+        raise ParameterRange(f"need one degree per constraint, got m={m}, {list(degrees)}")
+    if d < m + 2:
+        raise ParameterRange(f"need d >= m+2, got d={d}, m={m}")
+    return _pair_constants(degrees)
+
+
 def _deviation(delta, excess, l, q):
     """Right side of the module header's estimate at dimension l, degree
     delta and excess sum D = excess; exact integer, floor on sqrt(q)."""
@@ -81,10 +92,9 @@ def family_size_bracket(d, m, degrees, q, inclusive=False):
     With inclusive=True the bracket is scaled by q (exponent d-m), matching
     the count that keeps the additive shift a_0 as a free coordinate.
     """
-    if d < m + 2:
-        raise ParameterRange(f"need d >= m+2, got d={d}, m={m}")
+    constants = _family_constants(d, m, degrees)
     e = d - m - 1 + (1 if inclusive else 0)
-    upper = q**e + 2 * _deviation(*_pair_constants(degrees), e, q)
+    upper = q**e + 2 * _deviation(*constants, e, q)
     return FamilySizeBracket(
         e, Fraction(q**e, 2), upper, size_threshold_ok(degrees, q)
     )
@@ -97,13 +107,11 @@ def interp_count_error_bound(d, m, degrees, r, q):
     degrees d, d-1, ..., d-r+1, cut out a complete intersection of dimension
     d-m, degree delta*d!/(d-r)! and excess sum D + r*d - r(r+1)/2.
     """
-    if d < m + 2:
-        raise ParameterRange(f"need d >= m+2, got d={d}, m={m}")
+    delta, excess = _family_constants(d, m, degrees)
     if not degrees:
         raise ParameterRange("need at least one constraint degree")
     if not 1 <= r <= d:
         raise ParameterRange(f"need 1 <= r <= d, got r={r}, d={d}")
-    delta, excess = _pair_constants(degrees)
     delta_tot = delta * perm(d, r)
     excess_tot = excess + r * d - comb(r + 1, 2)
     tail = (comb(r, 2) * delta_tot + 4 * r * delta) * q ** (d - m - 1)
@@ -164,9 +172,7 @@ def _transcendental_tail_ln(d, scale):
 def average_error_bound(d, m, degrees, q):
     """The headline allowance 2^d*delta*(3*excess+d^2)*sqrt(q) plus the
     transcendental tail 67*delta^2*(excess+2)^2*d^(d+5)*e^(2*sqrt(d)-d)."""
-    if d < m + 2:
-        raise ParameterRange(f"need d >= m+2, got d={d}, m={m}")
-    delta, excess = _pair_constants(degrees)
+    delta, excess = _family_constants(d, m, degrees)
     term1 = LogMagnitude(log(2**d * delta * (3 * excess + d * d)) + 0.5 * log(q))
     term2 = LogMagnitude(_transcendental_tail_ln(d, 67 * delta**2 * (excess + 2) ** 2))
     return term1.plus(term2)
@@ -184,8 +190,12 @@ def average_error_bound_linear(d, q):
 
 
 def average_bound_applicable(d, m, degrees, q):
-    """Conservative check of the headline theorem's q threshold."""
-    return q > d >= m + 2 and size_threshold_ok(degrees, q)
+    """Conservative check of the headline theorem's q threshold; False at
+    d < m+2, where the theorem says nothing."""
+    if d < m + 2 and len(degrees) == m:
+        return False
+    _family_constants(d, m, degrees)
+    return q > d and size_threshold_ok(degrees, q)
 
 
 # --- growth profile of the bound's combinatorial terms ------------------------

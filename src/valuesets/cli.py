@@ -85,7 +85,7 @@ def _gather(spec, workers):
     return scan
 
 
-def _oracle_stages(spec, scan, star, coinc, r_max, budget):
+def _oracle_stages(spec, scan, r_max, budget):
     """Independent computations, skipped over budget.
 
     Each oracle checks its cost against the budget before it enumerates
@@ -95,10 +95,10 @@ def _oracle_stages(spec, scan, star, coinc, r_max, budget):
     summary line, whether it runs or not; each literal enumeration adds one
     note.
     """
-    dfs_cost = star[0] + spec.field.q * sum(star[:-1])
+    dfs_cost = scan.hermite_count(1) + spec.field.q * sum(map(scan.hermite_count, range(1, r_max)))
     if dfs_cost <= budget:
         dfs_star, dfs_coinc = hermite_profile(spec, r_max)
-        check_pattern_counts(star, coinc, dfs_star, dfs_coinc)
+        check_pattern_counts(scan, dfs_star, dfs_coinc)
     notes = []
     members = scan.member_count
     for r in range(1, min(r_max, 2) + 1):
@@ -110,7 +110,7 @@ def _oracle_stages(spec, scan, star, coinc, r_max, budget):
             ("tuples", count_distinct_tuples_oracle, "distinct tuple",
              "raw enumeration", scan.distinct_tuple_count(r)),
             ("prefix", count_hermite_tuples_oracle, "division",
-             "divisibility enumeration", star[r - 1]),
+             "divisibility enumeration", scan.hermite_count(r)),
         ):
             try:
                 got = oracle(spec, r, budget, members)
@@ -147,10 +147,9 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
         scan = tamper_hook(scan) or scan
     if scan.member_count == 0:
         raise EmptyFamily(f"family {family_id} has no members over F_{q}")
-    star, coinc = scan.tuple_profile(r_max)
-    check_identities(scan, star, coinc, r_max, family_id)
+    check_identities(scan, r_max, family_id)
     average = Fraction(scan.sum_values, scan.member_count)
-    notes = _oracle_stages(spec, scan, star, coinc, r_max, config.oracle_budget)
+    notes = _oracle_stages(spec, scan, r_max, config.oracle_budget)
 
     mu = generic_density(d)
     mu_q = mu * q
@@ -230,7 +229,7 @@ def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentRepo
     for r in range(1, r_max + 1):
         lines.append(
             f"tuples r={r}: distinct={scan.distinct_tuple_count(r)} "
-            f"prefix={star[r - 1]} coincident={coinc[r - 1]}, identity ok"
+            f"prefix={scan.hermite_count(r)} coincident={scan.coincident_count(r)}, identity ok"
         )
     lines.extend(notes)
     for rep in diagnostics:

@@ -123,21 +123,28 @@ def _walk_rank(spec: FamilySpec):
 
 
 def _regularity_report(label, spec, extension_degrees):
-    """Rank and size checks at each k; walks only families `_solve` left unsolved."""
+    """Rank and size checks at each k; walks only families `_solve` left unsolved.
+
+    Each k is decided once, at its first place in `extension_degrees`, and
+    its evidence and verdict are written where they are found.
+    """
     d, m = spec.d, spec.m
     dim = d - 1 - m
     c = prod(spec.degrees) ** 2
+    evidence = {"constant": c, "dimension": dim}
     if d < m + 2:
-        evidence = {"constant": c, "dimension": dim}
         text = f"size bracket needs d >= m+2, got d={d}, m={m}"
         return DiagnosticReport(label, INCONCLUSIVE, text, evidence)
-    per_k = {}
+    full_pass = []
+    reasons = []
     fail_reason = None
     witness = None
-    for k in extension_degrees:
+    for k in dict.fromkeys(extension_degrees):  # a repeated k adds nothing
         big_q = spec.field.q**k
         if big_q ** (d - 1) > POINT_BUDGET:
-            per_k[k] = {"skipped": f"{big_q}^{d - 1} candidates exceed budget {POINT_BUDGET}"}
+            skipped = f"{big_q}^{d - 1} candidates exceed budget {POINT_BUDGET}"
+            evidence[f"k{k}.skipped"] = skipped
+            reasons.append(f"k={k} skipped ({skipped})")
             continue
         if spec.solution is not None:
             # _solve keeps the ideal: (g) = (A_j - r_j), unit triangular on the pivots,
@@ -146,18 +153,14 @@ def _regularity_report(label, spec, extension_degrees):
         else:
             points, deficient, first_bad = _walk_rank(_embedded_spec(spec, k))
         allowed = Fraction(c) * Fraction(big_q) ** (dim - 2)
-        entry = {
-            "Q": big_q,
-            "points": points,
-            "deficient": deficient,
-            "allowed": allowed,
-        }
+        evidence.update({f"k{k}.Q": big_q, f"k{k}.points": points,
+                         f"k{k}.deficient": deficient, f"k{k}.allowed": allowed})
         if points == 0:
-            entry["empty"] = True
-            per_k[k] = entry
+            evidence[f"k{k}.empty"] = True
+            reasons.append(f"k={k} found no points (empty family)")
             continue
         rank_ok = Fraction(deficient) <= allowed
-        entry["rank_ok"] = rank_ok
+        evidence[f"k{k}.rank_ok"] = rank_ok
         if not rank_ok and fail_reason is None:
             fail_reason = (
                 f"{deficient} of {points} points at Q={big_q} have Jacobian rank "
@@ -165,30 +168,25 @@ def _regularity_report(label, spec, extension_degrees):
             )
             witness = first_bad
         bracket = family_size_bracket(d, m, spec.degrees, big_q)
-        if bracket.threshold_ok:
-            in_bracket = bracket.lower < points <= bracket.upper
-            entry["bracket"] = f"({bracket.lower}, {bracket.upper}]"
-            entry["bracket_ok"] = in_bracket
-            if not in_bracket and fail_reason is None:
-                fail_reason = (
-                    f"point count {points} at Q={big_q} falls outside the size "
-                    f"bracket ({bracket.lower}, {bracket.upper}]"
-                )
-                witness = (points,)
-        else:
-            entry["bracket"] = "threshold unmet"
-        per_k[k] = entry
-    evidence = {"constant": c, "dimension": dim}
-    for k, entry in per_k.items():
-        for key, val in entry.items():
-            evidence[f"k{k}.{key}"] = val
+        if not bracket.threshold_ok:
+            evidence[f"k{k}.bracket"] = "threshold unmet"
+            reasons.append(
+                f"k={k} rank check passed but the size-bracket threshold is unmet at Q={big_q}"
+            )
+            continue
+        in_bracket = bracket.lower < points <= bracket.upper
+        evidence[f"k{k}.bracket"] = f"({bracket.lower}, {bracket.upper}]"
+        evidence[f"k{k}.bracket_ok"] = in_bracket
+        if not in_bracket and fail_reason is None:
+            fail_reason = (
+                f"point count {points} at Q={big_q} falls outside the size "
+                f"bracket ({bracket.lower}, {bracket.upper}]"
+            )
+            witness = (points,)
+        if rank_ok and in_bracket:
+            full_pass.append(k)
     if fail_reason is not None:
         return DiagnosticReport(label, FAIL, fail_reason, evidence, witness)
-    full_pass = [
-        k
-        for k, entry in per_k.items()
-        if entry.get("rank_ok") and entry.get("bracket_ok")
-    ]
     if full_pass:
         text = (
             f"Jacobian rank {spec.m} holds outside the allowance and the point "
@@ -196,14 +194,6 @@ def _regularity_report(label, spec, extension_degrees):
             "necessary conditions only, no radical or normality certificate."
         )
         return DiagnosticReport(label, PASS, text, evidence)
-    reasons = []
-    for k, entry in per_k.items():
-        if "skipped" in entry:
-            reasons.append(f"k={k} skipped ({entry['skipped']})")
-        elif entry.get("empty"):
-            reasons.append(f"k={k} found no points (empty family)")
-        elif entry.get("bracket") == "threshold unmet":
-            reasons.append(f"k={k} rank check passed but the size-bracket threshold is unmet at Q={entry['Q']}")
     text = "no extension gave a conclusive verdict: " + "; ".join(reasons)
     return DiagnosticReport(label, INCONCLUSIVE, text, evidence)
 

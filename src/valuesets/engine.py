@@ -385,12 +385,6 @@ class ScanResult:
             for pattern, cnt in self.patterns.items()
         )
 
-    def tuple_profile(self, r_max):
-        """(hermite, coincident) count lists for r = 1..r_max, in the shape
-        `incidence.hermite_profile` returns."""
-        rs = range(1, r_max + 1)
-        return [self.hermite_count(r) for r in rs], [self.coincident_count(r) for r in rs]
-
 
 class _Scaling:
     """Lex-least points of the orbits of F_q^* acting by c . a_k = c^w a_k

@@ -15,13 +15,14 @@ histogram, on every run and raises `IdentityViolation` on a mismatch; the
 CLI (its seed check is a run too) and `collect` both go through it.
 
 The hermite and coincident counts of a pair (f, a_0) depend only on the
-multiplicities of the F_q-roots of f + a_0, so the CLI takes them from the
-family scan (`ScanResult.tuple_profile`, fed by the multiplicity patterns
-of the Horner sweep).  `hermite_profile` computes them independently and
-serves as an oracle: the CLI runs it when its cost fits the oracle
-budget, and `collect` always runs it.
-`check_pattern_counts` compares the two.  Being an oracle, the DFS is the
-one per-member pass over a family outside `engine.scan_family`.
+multiplicities of the F_q-roots of f + a_0, so they are read off the
+family scan (`ScanResult.hermite_count` and `coincident_count`, fed by the
+multiplicity patterns of the Horner sweep); the checks below take the scan
+itself.  `hermite_profile` computes them independently and serves as an
+oracle: the CLI runs it when its cost fits the oracle budget, and
+`collect` always runs it.  `check_pattern_counts` compares the two.  Being
+an oracle, the DFS is the one per-member pass over a family outside
+`engine.scan_family`.
 
 `hermite_profile` walks a DFS over node prefixes.  The state per prefix is
 the vector of complete homogeneous sums h_k(nodes); appending a node t
@@ -121,14 +122,14 @@ def hermite_profile(spec, r_max):
     return star[1:], coinc[1:]
 
 
-def check_identities(scan, star, coinc, r_max, label):
+def check_identities(scan, r_max, label):
     """Check the exact Lemma equalities; a failure is an implementation bug.
 
     On the histogram of `scan`: the mean equals the alternating sum of
     the S_r over r = 1..d (inclusion-exclusion), and r! * S_r equals the
-    distinct-tuple count (orbit identity).  Against the DFS counts `star`
-    and `coinc`: distinct = hermite - coincident for r = 1..r_max.  Raises
-    `IdentityViolation` naming `label` and the histogram.
+    distinct-tuple count (orbit identity).  Against the scan's hermite and
+    coincident counts: distinct = hermite - coincident for r = 1..r_max.
+    Raises `IdentityViolation` naming `label` and the histogram.
     """
     dump = f"family {label}, histogram {scan.profile}"
     alternating = sum(
@@ -150,21 +151,22 @@ def check_identities(scan, star, coinc, r_max, label):
                 f"orbit identity mismatch at r={r}: r!*S_r = "
                 f"{factorial(r) * s_r} != distinct tuples {distinct} ({dump})"
             )
-        if distinct != star[r - 1] - coinc[r - 1]:
+        herm, co = scan.hermite_count(r), scan.coincident_count(r)
+        if distinct != herm - co:
             raise IdentityViolation(
                 f"tuple subtraction mismatch at r={r}: distinct {distinct} != "
-                f"prefix-count {star[r - 1]} - coincident {coinc[r - 1]} ({dump})"
+                f"prefix-count {herm} - coincident {co} ({dump})"
             )
 
 
-def check_pattern_counts(star, coinc, dfs_star, dfs_coinc):
-    """Compare the scan's hermite/coincident count lists with the DFS's.
+def check_pattern_counts(scan, dfs_star, dfs_coinc):
+    """Compare the scan's hermite and coincident counts with the DFS's.
 
-    The lists hold the counts for r = 1, 2, ...; raises `IdentityViolation`
-    naming the first r where they differ.
+    The DFS lists hold the counts for r = 1, 2, ...; raises
+    `IdentityViolation` naming the first r where they differ.
     """
-    for r, pair in enumerate(zip(star, coinc, dfs_star, dfs_coinc), 1):
-        herm, co, dfs_herm, dfs_co = pair
+    for r, (dfs_herm, dfs_co) in enumerate(zip(dfs_star, dfs_coinc), 1):
+        herm, co = scan.hermite_count(r), scan.coincident_count(r)
         if (herm, co) != (dfs_herm, dfs_co):
             raise IdentityViolation(
                 f"prefix DFS oracle disagrees at r={r}: hermite {dfs_herm}, "
@@ -180,8 +182,8 @@ def collect(spec, r_max, scan):
     family's scan: its multiplicity patterns and the subtraction identity.
     """
     star, coinc = hermite_profile(spec, r_max)
-    check_identities(scan, star, coinc, r_max, repr(spec))
-    check_pattern_counts(*scan.tuple_profile(r_max), star, coinc)
+    check_identities(scan, r_max, repr(spec))
+    check_pattern_counts(scan, star, coinc)
     return [
         IncidenceCounts(r, scan.distinct_tuple_count(r), star[r - 1], coinc[r - 1])
         for r in range(1, r_max + 1)

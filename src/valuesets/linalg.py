@@ -11,21 +11,26 @@ from __future__ import annotations
 from .ffield import Field
 
 
-def rank(field: Field, rows: list[list[int]]) -> int:
+def _eliminate(field: Field, rows: list[list[int]]) -> tuple[int, int]:
+    """(rank, signed pivot product) by one forward elimination.
+
+    The product of the pivots, negated once per row swap, is the
+    determinant of a square matrix of full rank.
+    """
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     r = 0
+    signed = 1
     for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                pivot = i
+        for pivot in range(r, len(m)):
+            if m[pivot][col]:
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            signed = field.neg(signed)
+        signed = field.mul(signed, m[r][col])
         inv = field.inv(m[r][col])
         for i in range(r + 1, len(m)):
             c = m[i][col]
@@ -36,32 +41,16 @@ def rank(field: Field, rows: list[list[int]]) -> int:
         r += 1
         if r == len(m):
             break
-    return r
+    return r, signed
+
+
+def rank(field: Field, rows: list[list[int]]) -> int:
+    return _eliminate(field, rows)[0]
 
 
 def det(field: Field, rows: list[list[int]]) -> int:
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    result = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = field.neg(result)
-        result = field.mul(result, m[col][col])
-        inv = field.inv(m[col][col])
-        for i in range(col + 1, n):
-            c = m[i][col]
-            if c:
-                factor = field.mul(c, inv)
-                for j in range(col, n):
-                    m[i][j] = field.sub(m[i][j], field.mul(factor, m[col][j]))
-    return result
+    r, signed = _eliminate(field, rows)
+    return signed if r == n else 0

@@ -106,6 +106,27 @@ def test_interp_count_error_bound_needs_d_at_least_m_plus_2():
             interp_count_error_bound(d, m, [1] * m, 1, 5)
 
 
+def test_family_bounds_need_one_degree_per_constraint():
+    # m and the degree list describe the same constraints; a contradiction
+    # is refused rather than answered for one of the two
+    for call in (
+        lambda: family_size_bracket(4, 1, [], 5),
+        lambda: family_size_bracket(4, 1, [2, 2], 5, inclusive=True),
+        lambda: interp_count_error_bound(4, 2, [2], 1, 5),
+        lambda: average_error_bound(4, 2, [3], 5),
+        lambda: average_bound_applicable(4, 1, [], 5),
+        lambda: average_bound_applicable(3, 2, [1], 5),
+    ):
+        with pytest.raises(ParameterRange, match="one degree per constraint"):
+            call()
+    # below d = m+2 each keeps its answer: a refusal, or not applicable
+    with pytest.raises(ParameterRange, match="d >= m\\+2"):
+        average_error_bound(3, 2, [1, 1], 5)
+    assert not average_bound_applicable(3, 2, [1, 1], 5)
+    # no constraint at all: an affine space has exactly q^l points
+    assert point_count_error_bound(2, [], 5) == 0
+
+
 def test_bounds_match_the_reference_formulas():
     shapes = ([1], [2], [2, 3], [1, 1, 4], [3, 3])
     for q in (2, 4, 5, 9, 11, 16, 25, 49, 121, 397, 10**6 + 3):

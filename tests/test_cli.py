@@ -312,9 +312,9 @@ def test_dfs_oracle_refused_at_budget_zero(monkeypatch):
 def test_dfs_oracle_runs_within_budget(monkeypatch):
     cfg = parse_config(SMALL_Q7)
     spec = build_family(cfg)
-    star, _ = scan_family(spec).tuple_profile(3)
+    scan = scan_family(spec)
     # the q*|A| = star_1 start nodes and the children the DFS tries
-    price = star[0] + spec.field.q * sum(star[:-1])
+    price = scan.hermite_count(1) + spec.field.q * sum(map(scan.hermite_count, (1, 2)))
     calls = []
 
     def traced(*args, **kwargs):

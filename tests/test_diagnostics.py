@@ -102,6 +102,26 @@ def test_budget_skips_give_inconclusive():
     assert "k1.skipped" in rep.evidence and "k2.skipped" in rep.evidence
 
 
+def test_repeated_and_reordered_extension_degrees():
+    # each k is reported once, at its first place; a repeat adds nothing
+    f5 = field_new(5)
+    spec = spec_of(f5, 3, ["A2"])
+    for degrees, listed in (((1, 1), [1]), ((2, 1), [2, 1]), ((1, 2, 1), [1, 2])):
+        rep = check_regularity(spec, degrees)
+        assert rep.status == PASS
+        assert f"at k={listed};" in rep.text, degrees
+        assert rep == check_regularity(spec, tuple(listed))
+    # the rank fails at Q = 9 only, whichever place k = 2 takes
+    f3 = field_new(3)
+    spec = spec_of(f3, 4, ["A3^3"])
+    for degrees in ((2, 1), (1, 2)):
+        rep = check_regularity(spec, degrees)
+        assert rep.status == FAIL
+        assert rep.text.startswith("81 of 81 points at Q=9 have Jacobian rank < 1"), degrees
+        assert rep.witness == (0, 0, 0)
+        assert rep.evidence["k1.rank_ok"] and not rep.evidence["k2.rank_ok"]
+
+
 def test_too_many_constraints_give_inconclusive_not_traceback():
     # m = 2 > d - 2 = 1: the size bracket around q^(d-m-1) is undefined, and
     # FamilySpec still builds such specs (Hypothesis draws them)

@@ -50,6 +50,7 @@ from valuesets.engine import (
 from valuesets.families import FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import (
+    check_pattern_counts,
     count_distinct_tuples_oracle,
     count_hermite_tuples_oracle,
     count_interpolating_sets_direct,
@@ -159,7 +160,7 @@ def test_histogram_scan_matches_value_sets(spec):
 def test_pattern_counts_match_prefix_dfs(spec):
     scan = scan_family(spec)
     star, coinc = hermite_profile(spec, spec.d)
-    assert scan.tuple_profile(spec.d) == (star, coinc)
+    check_pattern_counts(scan, star, coinc)
     for r in range(1, spec.d + 1):
         assert scan.hermite_count(r) == star[r - 1]
         assert scan.coincident_count(r) == coinc[r - 1]
@@ -207,7 +208,7 @@ def test_division_oracle_matches_product_and_mod(spec):
     field = spec.field
     q = field.q
     members = list(filter_family(spec))
-    star, _ = scan_family(spec).tuple_profile(3)
+    scan = scan_family(spec)
     for r in range(1, 4):
         if q ** (r + 1) * len(members) > ORACLE_BUDGET:
             continue
@@ -218,7 +219,7 @@ def test_division_oracle_matches_product_and_mod(spec):
             for nodes in product(range(q), repeat=r)
         )
         got = count_hermite_tuples_oracle(spec, r, ORACLE_BUDGET, len(members))
-        assert got == reference == star[r - 1], (spec, r)
+        assert got == reference == scan.hermite_count(r), (spec, r)
 
 
 @settings(max_examples=60, deadline=None)
