@@ -26,7 +26,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -56,6 +55,13 @@ from .report import (
     format_magnitude,
     format_rational,
 )
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """The process pool, imported only by a run that starts one."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def _scan_slice(args):

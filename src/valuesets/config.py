@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagnostics import POINT_BUDGET
 from .errors import ParseError, ValidationError
 from .exprs import (
     coeff_variables,
@@ -173,6 +174,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValidationError("diag_extensions must name at least one extension degree")
     if any(k < 1 for k in config.diag_extensions):
         raise ValidationError("diag_extensions must be positive integers")
+    k_max = POINT_BUDGET.bit_length() - 1  # the largest k with 2^k <= POINT_BUDGET
+    if max(config.diag_extensions) > k_max:
+        raise ValidationError(
+            f"diag_extensions must be at most {k_max}: F_(q^k) has at least 2^k points, "
+            f"more than the diagnostic budget {POINT_BUDGET} (k={max(config.diag_extensions)})"
+        )
     symmetric = config.kind == "symmetric"
     if symmetric and config.s_count is None:
         raise ValidationError(f"symmetric families require {_key_of('s_count')}")

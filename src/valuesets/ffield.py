@@ -7,6 +7,11 @@ coordinate) least significant, so enumeration order starts at 0 and is a
 plain base-p counter.  Counting kernels elsewhere in the package work on raw
 indices through the lookup rows of `Field.rows()`, the same for every field.
 
+`Field.rows()` builds those rows once, from the field's methods.  An
+extension field's methods reduce coordinate products by the modulus until
+its rows exist and read the rows from then on; at or below `_TABLE_MAX` the
+rows are built at construction.
+
 All arithmetic is exact; Python integers never overflow.
 """
 
@@ -42,22 +47,27 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p, used only for modulus handling
+# base-p digits and dense polynomials over F_p, low coefficient first
 
-def _fp_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    num = list(num)
+def _digits(n: int, p: int, count: int) -> list[int]:
+    """The `count` lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(count):
+        n, c = divmod(n, p)
+        out.append(c)
+    return out
+
+
+def _fp_rem(num, den, p: int) -> list[int]:
+    """num mod den over F_p for a monic den, padded to deg den coefficients."""
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    quo = [0] * max(len(num) - dd, 0)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] * inv_lead % p
+    rem = list(num)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
         if c:
-            quo[k - dd] = c
-            for j, dj in enumerate(den):
-                num[k - dd + j] = (num[k - dd + j] - c * dj) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
+            for j in range(dd):  # den[dd] = 1 would only clear rem[k]
+                rem[k - dd + j] = (rem[k - dd + j] - c * den[j]) % p
+    return rem[:dd] + [0] * (dd - len(rem))
 
 
 def _fp_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -70,13 +80,7 @@ def _fp_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return s == 1
     for deg in range(1, s // 2 + 1):
         for t in range(p**deg):
-            den, n = [], t
-            for _ in range(deg):
-                den.append(n % p)
-                n //= p
-            den.append(1)
-            _, rem = _fp_divmod(list(coeffs), den, p)
-            if not rem:
+            if not any(_fp_rem(coeffs, _digits(t, p, deg) + [1], p)):
                 return False
     return True
 
@@ -84,11 +88,7 @@ def _fp_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 def _search_modulus(p: int, s: int) -> tuple[int, ...]:
     """First monic irreducible of degree s in base-p counter order."""
     for t in range(p**s):
-        tail, n = [], t
-        for _ in range(s):
-            tail.append(n % p)
-            n //= p
-        cand = tuple(tail) + (1,)
+        cand = tuple(_digits(t, p, s)) + (1,)
         if _fp_is_irreducible(cand, p):
             return cand
     raise ReducibleModulus(f"no irreducible of degree {s} over F_{p}")  # pragma: no cover
@@ -116,18 +116,20 @@ class Field:
         """Lookup rows (add, mul, neg, inv) for the counting kernels.
 
         add[a][b] and mul[a][b] index lists of q rows; neg[a] and inv[a] are
-        flat, with inv[0] = 0.  Built from the methods on first use unless
-        the field made them at construction.
+        flat, with inv[0] = 0.  Built once from the methods, on first use or
+        at construction; add and mul by symmetry, inv[a] as the 1 in mul[a].
         """
         if self._rows is None:
-            idx = range(self.q)
-            add, mul = self.add, self.mul
-            self._rows = (
-                [[add(a, b) for b in idx] for a in idx],
-                [[mul(a, b) for b in idx] for a in idx],
-                [self.neg(a) for a in idx],
-                [0] + [self.inv(a) for a in idx[1:]],
-            )
+            q = self.q
+            add = [[0] * q for _ in range(q)]
+            mul = [[0] * q for _ in range(q)]
+            for a in range(q):
+                for b in range(a, q):
+                    add[a][b] = add[b][a] = self.add(a, b)
+                    mul[a][b] = mul[b][a] = self.mul(a, b)
+            neg = [self.neg(a) for a in range(q)]
+            inv = [0] + [mul[a].index(1) for a in range(1, q)]
+            self._rows = (add, mul, neg, inv)
         return self._rows
 
     def add(self, a: int, b: int) -> int:  # pragma: no cover - abstract
@@ -159,11 +161,7 @@ class Field:
         return n % self.p
 
     def coords(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.s):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
+        return tuple(_digits(idx, self.p, self.s))
 
     def indices(self) -> range:
         return range(self.q)
@@ -209,9 +207,7 @@ class PrimeField(Field):
 
     def pow(self, a, e):
         if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        if a == 0:
-            return 1 if e == 0 else 0
+            a, e = self.inv(a), -e
         return pow(a, e, self.p)
 
 
@@ -224,9 +220,8 @@ class ExtensionField(Field):
         self.q = p**s
         self.modulus = modulus
         self._rows = None
-        self._add_t = self._mul_t = self._neg_t = self._inv_t = None
         if self.q <= _TABLE_MAX:
-            self._build_tables()
+            self.rows()
 
     # pickling for worker processes: ship only the defining data
     def __getstate__(self):
@@ -235,75 +230,40 @@ class ExtensionField(Field):
     def __setstate__(self, state):
         self.__init__(*state)
 
-    def _mul_coords(self, a: tuple, b: tuple) -> tuple:
-        p, s, m = self.p, self.s, self.modulus
-        prod = [0] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(len(prod) - 1, s - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(s):
-                    prod[k - s + j] = (prod[k - s + j] - c * m[j]) % p
-        return tuple(prod[:s])
-
     def _coords_to_idx(self, coords) -> int:
         idx = 0
         for c in reversed(coords):
             idx = idx * self.p + c
         return idx
 
-    def _add_slow(self, a, b):
-        ca, cb = self.coords(a), self.coords(b)
-        return self._coords_to_idx([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def _mul_slow(self, a, b):
-        return self._coords_to_idx(self._mul_coords(self.coords(a), self.coords(b)))
-
-    def _neg_slow(self, a):
-        return self._coords_to_idx([(self.p - c) % self.p for c in self.coords(a)])
-
-    def _build_tables(self):
-        q = self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                add[a][b] = add[b][a] = self._add_slow(a, b)
-                mul[a][b] = mul[b][a] = self._mul_slow(a, b)
-        neg = [self._neg_slow(a) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            if not inv[a]:
-                b = mul[a].index(1)
-                inv[a] = b
-                inv[b] = a
-        self._rows = (add, mul, neg, inv)
-        self._add_t, self._mul_t, self._neg_t, self._inv_t = self._rows
-
     def add(self, a, b):
-        if self._add_t is not None:
-            return self._add_t[a][b]
-        return self._add_slow(a, b)
+        if self._rows is not None:
+            return self._rows[0][a][b]
+        p = self.p
+        return self._coords_to_idx([(x + y) % p for x, y in zip(self.coords(a), self.coords(b))])
 
     def mul(self, a, b):
-        if self._mul_t is not None:
-            return self._mul_t[a][b]
-        return self._mul_slow(a, b)
+        if self._rows is not None:
+            return self._rows[1][a][b]
+        p = self.p
+        prod = [0] * (2 * self.s - 1)
+        cb = self.coords(b)
+        for i, ai in enumerate(self.coords(a)):
+            if ai:
+                for j, bj in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        return self._coords_to_idx(_fp_rem(prod, self.modulus, p))
 
     def neg(self, a):
-        if self._neg_t is not None:
-            return self._neg_t[a]
-        return self._neg_slow(a)
+        if self._rows is not None:
+            return self._rows[2][a]
+        return self._coords_to_idx([(self.p - c) % self.p for c in self.coords(a)])
 
     def inv(self, a):
         if a == 0:
             raise ZeroInverse("0 has no inverse")
-        if self._inv_t is not None:
-            return self._inv_t[a]
+        if self._rows is not None:
+            return self._rows[3][a]
         return self.pow(a, self.q - 2)
 
 

@@ -12,7 +12,13 @@ Three counts per tuple length r, each over all (member, shift a_0) pairs:
 distinct = hermite - coincident is a theorem.  `check_identities` re-checks
 it, together with the inclusion-exclusion and orbit identities of the
 histogram, on every run and raises `IdentityViolation` on a mismatch; the
-CLI (its seed check is a run too) and `collect` both go through it.
+CLI (its seed check is a run too) and `collect` both go through it.  The
+orbit identity r!*S_r = distinct and the subtraction distinct = hermite -
+coincident hold by construction of the `ScanResult` counts, which read
+both sides off one histogram and one set of multiplicity patterns; so the
+patterns are checked independently only by the prefix DFS, and only
+within its price (`test_dfs_oracle_catches_tampered_patterns`).  ROADMAP
+direction 4 plans a check at every budget.
 
 The hermite and coincident counts of a pair (f, a_0) depend only on the
 multiplicities of the F_q-roots of f + a_0, so they are read off the
@@ -130,6 +136,11 @@ def check_identities(scan, r_max, label):
     distinct-tuple count (orbit identity).  Against the scan's hermite and
     coincident counts: distinct = hermite - coincident for r = 1..r_max.
     Raises `IdentityViolation` naming `label` and the histogram.
+
+    The orbit and subtraction identities hold by construction of the
+    `ScanResult` counts, so they catch a fault in how the counts are read
+    off the scan, not in the scan's patterns; only `check_pattern_counts`
+    against the prefix DFS checks those, when the DFS fits the budget.
     """
     dump = f"family {label}, histogram {scan.profile}"
     alternating = sum(
@@ -155,7 +166,7 @@ def check_identities(scan, r_max, label):
         if distinct != herm - co:
             raise IdentityViolation(
                 f"tuple subtraction mismatch at r={r}: distinct {distinct} != "
-                f"prefix-count {herm} - coincident {co} ({dump})"
+                f"hermite {herm} - coincident {co} ({dump})"
             )
 
 

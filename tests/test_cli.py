@@ -609,6 +609,30 @@ def test_main_rejects_empty_diag_extensions(tmp_path, capsys):
     assert "diag_extensions must name at least one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degrees", ["1,5000", "1,19"])
+def test_main_rejects_unreachable_extension_degrees(tmp_path, capsys, degrees):
+    # F_(q^k) has at least 2^k points, so above k = 18 every diagnostic walk
+    # is over POINT_BUDGET; k = 5000 once ended in a traceback
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(
+        SMALL_Q7.replace("diag_extensions = 1,2", f"diag_extensions = {degrees}"),
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: diag_extensions must be at most 18")
+
+
+def test_main_runs_the_largest_extension_degree(tmp_path, capsys):
+    cfg_path = tmp_path / "k18.cfg"
+    cfg_path.write_text(
+        SMALL_Q7.replace("diag_extensions = 1,2", "diag_extensions = 1,18"), encoding="utf-8"
+    )
+    assert main(["run", str(cfg_path)]) == 0
+    assert "k18.skipped" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

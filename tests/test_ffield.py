@@ -1,4 +1,5 @@
 import pickle
+import random
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from valuesets.errors import (
     ReducibleModulus,
     ZeroInverse,
 )
-from valuesets.ffield import _TABLE_MAX, field_new
+from valuesets.ffield import _TABLE_MAX, _search_modulus, field_new
 
 # fields small enough for exhaustive axiom sweeps
 AXIOM_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (2, 4), (7, 2), (2, 6)]
@@ -67,21 +68,121 @@ def test_field_axioms(p, s):
                 assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
 
 
-@pytest.mark.parametrize("p,s", [(13, 1), (2, 4), (7, 2), (17, 2)])
+def _ref_coords(fld, a):
+    return [a // fld.p**i % fld.p for i in range(fld.s)]
+
+
+def _ref_index(fld, coords):
+    return sum(c * fld.p**i for i, c in enumerate(coords))
+
+
+def _ref_add(fld, a, b):
+    ca, cb = _ref_coords(fld, a), _ref_coords(fld, b)
+    return _ref_index(fld, [(x + y) % fld.p for x, y in zip(ca, cb)])
+
+
+def _ref_mul(fld, a, b):
+    """Schoolbook product of the coordinate vectors, reduced mod fld.modulus."""
+    p, s = fld.p, fld.s
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(_ref_coords(fld, a)):
+        for j, y in enumerate(_ref_coords(fld, b)):
+            prod[i + j] += x * y
+    if s > 1:
+        m = fld.modulus
+        for k in range(2 * s - 2, s - 1, -1):
+            c = prod[k]
+            for j in range(s + 1):
+                prod[k - s + j] -= c * m[j]
+    return _ref_index(fld, [c % p for c in prod[:s]])
+
+
+def _ref_neg(fld, a):
+    return _ref_index(fld, [-c % fld.p for c in _ref_coords(fld, a)])
+
+
+def _check_against_reference(fld, add, mul, neg, inv, pairs):
+    for a, b in pairs:
+        assert add(a, b) == _ref_add(fld, a, b)
+        assert mul(a, b) == _ref_mul(fld, a, b)
+    for a in {a for a, _ in pairs}:
+        assert neg(a) == _ref_neg(fld, a)
+        if a:
+            assert _ref_mul(fld, a, inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,s", [(13, 1), (2, 4), (7, 2), (17, 2), (2, 9)])
 def test_rows_match_methods(p, s):
-    # F_289 is above _TABLE_MAX: its rows are built on first use from the
-    # coordinate arithmetic, which its methods keep using
+    # the rows and the methods are compared with coordinate-wise sums and
+    # schoolbook products written here.  F_289 and F_512 are above
+    # _TABLE_MAX, so their methods compute through coordinates until rows()
+    # is asked for, and read the rows from then on; F_512 is sampled
     fld = field_new(p, s)
-    assert (fld.q > _TABLE_MAX) == ((p, s) == (17, 2))
+    assert (fld.q > _TABLE_MAX) == (fld.q in (289, 512))
+    rnd = random.Random(fld.q)
+    sample = [(rnd.randrange(fld.q), rnd.randrange(fld.q)) for _ in range(2000)]
+    if fld.q > _TABLE_MAX:
+        _check_against_reference(fld, fld.add, fld.mul, fld.neg, fld.inv, sample)
+    if fld.q == 512:
+        return  # its rows take seconds to build; F_289 covers a lazy build
     add, mul, neg, inv = fld.rows()
     assert fld.rows() is fld.rows()
-    idx = list(fld.indices())
     assert len(add) == len(mul) == len(neg) == len(inv) == fld.q
-    for a in idx:
-        assert add[a] == [fld.add(a, b) for b in idx]
-        assert mul[a] == [fld.mul(a, b) for b in idx]
-        assert neg[a] == fld.neg(a)
-        assert inv[a] == (fld.inv(a) if a else 0)
+    assert inv[0] == 0
+    idx = fld.indices()
+    _check_against_reference(
+        fld, lambda a, b: add[a][b], lambda a, b: mul[a][b], neg.__getitem__, inv.__getitem__,
+        [(a, b) for a in idx for b in idx],
+    )
+    for a, b in sample:
+        assert (fld.add(a, b), fld.mul(a, b), fld.neg(a)) == (add[a][b], mul[a][b], neg[a])
+        if a:
+            assert fld.inv(a) == inv[a]
+
+
+# _search_modulus(p, s) for every s >= 2 with p^s <= 4096.  Element indices,
+# and so every CSV over an extension field, depend on these moduli.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (17, 2): (3, 0, 1),
+}
+
+
+def test_search_modulus_pinned():
+    found = {
+        (p, s): _search_modulus(p, s)
+        for p in (2, 3, 5, 7, 11, 13, 17)
+        for s in range(2, 13)
+        if p**s <= 4096
+    }
+    assert found == PINNED_MODULI
 
 
 @pytest.mark.parametrize("p,s", AXIOM_FIELDS)

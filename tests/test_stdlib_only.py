@@ -1,8 +1,11 @@
 """The package promises a stdlib-only runtime: every absolute import in
 src/valuesets names a standard-library module.  Its public surface is
-`valuesets.__all__`, and every name listed there resolves."""
+`valuesets.__all__`, and every name listed there resolves.  Importing the
+CLI loads no process-pool module."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,18 @@ def test_all_names_resolve():
     missing = [name for name in valuesets.__all__ if not hasattr(valuesets, name)]
     assert not missing
     assert len(set(valuesets.__all__)) == len(valuesets.__all__)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a run with workers > 1 starts a pool; the rest never pay its import
+    code = (
+        "import sys, valuesets.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
