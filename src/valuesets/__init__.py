@@ -25,7 +25,7 @@ from .diagnostics import (
     check_regularity_at_infinity,
 )
 from .engine import ScanResult, generic_density, scan_family, value_set_size
-from .exprs import parse_poly_expr, poly_to_expr
+from .exprs import parse_poly_expr
 from .families import (
     FamilySpec,
     enumerate_family,
@@ -36,7 +36,7 @@ from .families import (
 from .ffield import Field, field_new
 from .incidence import collect, hermite_profile
 from .multipoly import MultiPoly
-from .unipoly import UniPoly, discriminant, resultant
+from .unipoly import UniPoly, resultant
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "check_regularity",
     "check_regularity_at_infinity",
     "collect",
-    "discriminant",
     "enumerate_family",
     "family_cardinality",
     "family_size_bracket",
@@ -67,7 +66,6 @@ __all__ = [
     "linear_family",
     "parse_config",
     "parse_poly_expr",
-    "poly_to_expr",
     "resultant",
     "scan_family",
     "symmetric_family",

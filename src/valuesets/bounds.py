@@ -80,8 +80,7 @@ def size_threshold_ok(degrees, q):
 
 @dataclass(frozen=True)
 class FamilySizeBracket:
-    exponent: int  # main term is q**exponent
-    lower: Fraction  # strict lower bound q**exponent / 2
+    lower: Fraction  # strict lower bound q**e / 2, q**e the main term
     upper: int  # inclusive upper bound, floored conservatively
     threshold_ok: bool
 
@@ -95,9 +94,7 @@ def family_size_bracket(d, m, degrees, q, inclusive=False):
     constants = _family_constants(d, m, degrees)
     e = d - m - 1 + (1 if inclusive else 0)
     upper = q**e + 2 * _deviation(*constants, e, q)
-    return FamilySizeBracket(
-        e, Fraction(q**e, 2), upper, size_threshold_ok(degrees, q)
-    )
+    return FamilySizeBracket(Fraction(q**e, 2), upper, size_threshold_ok(degrees, q))
 
 
 def interp_count_error_bound(d, m, degrees, r, q):
@@ -134,12 +131,6 @@ class LogMagnitude:
 
     def __init__(self, ln):
         self.ln = float(ln)
-
-    @classmethod
-    def from_int(cls, n):
-        if n <= 0:
-            raise ParameterRange(f"need a positive magnitude, got {n}")
-        return cls(log(n))
 
     def _slack(self):
         return _REL_SLACK * (1.0 + abs(self.ln))

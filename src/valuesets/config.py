@@ -12,9 +12,11 @@ parsed eagerly so syntax errors surface at config time with positions.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 
-from .diagnostics import POINT_BUDGET
+from .diagnostics import DEFAULT_EXTENSION_DEGREES, POINT_BUDGET
 from .errors import ParseError, ValidationError
 from .exprs import (
     coeff_variables,
@@ -41,7 +43,7 @@ class ExperimentConfig:
     shapes: tuple = ()
     r_max: int | None = None
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
-    diag_extensions: tuple = (1, 2)
+    diag_extensions: tuple = DEFAULT_EXTENSION_DEGREES
     workers: int = 1
     csv_path: str | None = None
     summary_path: str | None = None
@@ -65,10 +67,21 @@ class ExperimentConfig:
         return f"{self.kind}-d{self.d}-m{self.m}-{tag}"
 
 
+# a decimal literal as `int(text, 0)` reads it; one it refuses is too long
+_DECIMAL = re.compile(r"[+-]?(0(_?0)*|[1-9](_?[0-9])*)")
+
+
 def _int(value, line, key):
     try:
         return int(value, 0)
     except ValueError:
+        if _DECIMAL.fullmatch(value):
+            digits = sum(ch.isdigit() for ch in value)
+            raise ParseError(
+                f"key {key} expects an integer of at most {sys.get_int_max_str_digits()} "
+                f"digits, got {digits} digits starting {value[:12]!r}",
+                line=line,
+            )
         raise ParseError(f"key {key} expects an integer, got {value!r}", line=line)
 
 

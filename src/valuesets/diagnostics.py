@@ -55,6 +55,9 @@ INCONCLUSIVE = "inconclusive"
 # Candidate-point ceiling for extension scans; Q^(d-1) above this skips k.
 POINT_BUDGET = 300_000
 
+# Extension degrees k checked when a run names none: F_q and F_(q^2).
+DEFAULT_EXTENSION_DEGREES = (1, 2)
+
 
 @dataclass(frozen=True)
 class DiagnosticReport:
@@ -81,7 +84,7 @@ def _embedded_spec(spec: FamilySpec, k: int) -> FamilySpec:
     ext = field_new(base.p, base.s * k)
     table = embedding_table(base, ext)
     gs = [g.map_coefficients(ext, table) for g in spec.constraints]
-    return FamilySpec(ext, spec.d, spec.m, gs, kind=spec.kind)
+    return FamilySpec(ext, spec.d, spec.m, gs)
 
 
 def _walk_rank(spec: FamilySpec):
@@ -198,7 +201,9 @@ def _regularity_report(label, spec, extension_degrees):
     return DiagnosticReport(label, INCONCLUSIVE, text, evidence)
 
 
-def check_regularity(spec: FamilySpec, extension_degrees=(1, 2)) -> DiagnosticReport:
+def check_regularity(
+    spec: FamilySpec, extension_degrees=DEFAULT_EXTENSION_DEGREES
+) -> DiagnosticReport:
     """Rank and size checks on the constraint variety over small extensions.
 
     The allowance constant c is the squared product of constraint degrees,
@@ -210,7 +215,7 @@ def check_regularity(spec: FamilySpec, extension_degrees=(1, 2)) -> DiagnosticRe
 
 
 def check_regularity_at_infinity(
-    spec: FamilySpec, extension_degrees=(1, 2)
+    spec: FamilySpec, extension_degrees=DEFAULT_EXTENSION_DEGREES
 ) -> DiagnosticReport:
     """Same checks on the highest homogeneous parts of the constraints.
 
@@ -218,11 +223,7 @@ def check_regularity_at_infinity(
     apart from the label.
     """
     top = FamilySpec(
-        spec.field,
-        spec.d,
-        spec.m,
-        [g.highest_form() for g in spec.constraints],
-        kind=spec.kind,
+        spec.field, spec.d, spec.m, [g.highest_form() for g in spec.constraints]
     )
     return _regularity_report("regularity-at-infinity", top, extension_degrees)
 
@@ -266,57 +267,43 @@ def check_discriminant_loci(spec: FamilySpec, scan) -> DiagnosticReport:
         "c2": c2,
         "dimension": dim_v,
     }
-    if members == 0:
-        return DiagnosticReport(
-            "discriminant-loci",
-            INCONCLUSIVE,
-            "the family has no members, nothing to count",
-            evidence,
-        )
     fail_n1 = Fraction(q**dim_v, 2)
     fail_n2 = 2 * c1 * Fraction(q) ** (dim_v - 1)
-    evidence["fail_threshold_n1"] = fail_n1
-    evidence["fail_threshold_n2"] = fail_n2
-    if n1 >= fail_n1:
-        return DiagnosticReport(
-            "discriminant-loci",
-            FAIL,
-            f"repeated-root pairs N1={n1} reach full dimension "
-            f"(threshold {fail_n1} out of {members * q} pairs)",
-            evidence,
-            witness1,
-        )
-    if n2 >= fail_n2:
-        return DiagnosticReport(
-            "discriminant-loci",
-            FAIL,
-            f"higher-multiplicity pairs N2={n2} reach codimension one "
-            f"(threshold {fail_n2})",
-            evidence,
-            witness2,
-        )
     pass_n1 = Fraction(c1) * Fraction(q) ** (dim_v - 1)
     pass_n2 = Fraction(c2) * Fraction(q) ** (dim_v - 2)
-    evidence["pass_threshold_n1"] = pass_n1
-    evidence["pass_threshold_n2"] = pass_n2
-    if n1 <= pass_n1 and n2 <= pass_n2:
-        return DiagnosticReport(
-            "discriminant-loci",
-            PASS,
-            f"N1={n1} and N2={n2} stay within the codimension-one and -two "
-            "allowances; necessary conditions only, no codimension certificate.",
-            evidence,
+    witness = None
+    if members == 0:
+        status, text = INCONCLUSIVE, "the family has no members, nothing to count"
+    elif n1 >= fail_n1:
+        status, witness = FAIL, witness1
+        text = (
+            f"repeated-root pairs N1={n1} reach full dimension "
+            f"(threshold {fail_n1} out of {members * q} pairs)"
         )
-    return DiagnosticReport(
-        "discriminant-loci",
-        INCONCLUSIVE,
-        f"N1={n1}, N2={n2} sit between the pass allowances "
-        f"({pass_n1}, {pass_n2}) and the fail thresholds",
-        evidence,
-    )
+    elif n2 >= fail_n2:
+        status, witness = FAIL, witness2
+        text = f"higher-multiplicity pairs N2={n2} reach codimension one (threshold {fail_n2})"
+    elif n1 <= pass_n1 and n2 <= pass_n2:
+        status = PASS
+        text = (
+            f"N1={n1} and N2={n2} stay within the codimension-one and -two "
+            "allowances; necessary conditions only, no codimension certificate."
+        )
+    else:
+        status = INCONCLUSIVE
+        text = (
+            f"N1={n1}, N2={n2} sit between the pass allowances "
+            f"({pass_n1}, {pass_n2}) and the fail thresholds"
+        )
+    # the fail thresholds are evidence for a nonempty family, the pass ones unless it fails
+    if members:
+        evidence.update(fail_threshold_n1=fail_n1, fail_threshold_n2=fail_n2)
+    if members and status != FAIL:
+        evidence.update(pass_threshold_n1=pass_n1, pass_threshold_n2=pass_n2)
+    return DiagnosticReport("discriminant-loci", status, text, evidence, witness)
 
 
-def run_all(spec: FamilySpec, scan, extension_degrees=(1, 2)) -> list[DiagnosticReport]:
+def run_all(spec: FamilySpec, scan, extension_degrees) -> list[DiagnosticReport]:
     """The three checks in a fixed order, as consumed by the CLI; the family
     scan goes on to `check_discriminant_loci`."""
     return [

@@ -40,8 +40,8 @@ the f' = 0 pairs are the same at every member of an orbit.  The scanned
 member is the lex-least of its orbit, and members are walked in lex order,
 so the first orbit with a nonempty locus is scanned at the full scan's
 first member with one, and its least a_0 is the full scan's witness;
-`ScanResult.merge` keeps the earliest slice's witness as before.  When
-neither action applies, as over a prime field with a constant term in a
+`ScanResult.merge` keeps the earliest slice's witness.  When neither
+action applies, as over a prime field with a constant term in a
 constraint, every member is scanned (`scan_members`, the plain loop and
 the reference for the weighted one).
 
@@ -447,20 +447,20 @@ def orbit_weigher(spec):
     - Frobenius, a_k -> a_k^p, when every constraint coefficient c has
       c^p = c (over F_{p^s}, s > 1).
 
-    The returned function takes the walked coordinates (the free ones on
-    the direct walk, the whole member on the filter) and gives |orbit|
-    when they are the lex-least point of their orbit, else 0.  When both
-    actions apply, only scaling is used: its orbits have up to q - 1
-    points, Frobenius's up to s.  None when neither applies.
+    The returned function takes the values of the coordinates in
+    `spec.walked` (the free ones on the direct walk, the whole member on
+    the filter) and gives |orbit| when they are the lex-least point of
+    their orbit, else 0.  When both actions apply, only scaling is used:
+    its orbits have up to q - 1 points, Frobenius's up to s.  None when
+    neither applies.
     """
     field = spec.field
-    walked = spec.solution[0] if spec.direct else range(spec.d - 1)
     # variable i is A_{d-1-i}, of weight i + 1
     if field.q > 2 and all(
         len({sum(k * e for k, e in enumerate(exps, 1)) for exps in g.terms}) == 1
         for g in spec.constraints
     ):
-        return _Scaling(field, [k + 1 for k in walked]).size
+        return _Scaling(field, [k + 1 for k in spec.walked]).size
     if field.s == 1:
         return None
     frob = [field.pow(x, field.p) for x in field.indices()]

@@ -1,4 +1,4 @@
-"""Polynomial expression text: recursive-descent parser and canonical printer.
+"""Polynomial expression text: a recursive-descent parser.
 
 Grammar (whitespace separates nothing; '#' is not a comment here):
 
@@ -8,13 +8,10 @@ Grammar (whitespace separates nothing; '#' is not a comment here):
     primary := uint | name | '(' expr ')' | '-' primary
 
 Integer literals are reduced into the field through the canonical map
-n -> n * 1 (so they always land in the prime subfield).  The printer emits
-terms in descending graded-lex order with nonnegative coefficients and no
-subtraction, which makes parse(print(g)) == g on everything the grammar can
-express.
+n -> n * 1 (so they always land in the prime subfield).
 """
 
-from .errors import ParseError, UnknownVariable, ValidationError
+from .errors import ParseError, UnknownVariable
 from .multipoly import MultiPoly
 
 _SYMBOLS = "+-*^()"
@@ -165,34 +162,3 @@ def parse_poly_expr(text, field, nvars, variables):
     """Parse an expression into a MultiPoly over the given variable set."""
     return _Parser(text, field, nvars, variables).parse()
 
-
-def poly_to_expr(g, names):
-    """Canonical text form; inverse of parse_poly_expr on its output.
-
-    Coefficients must lie in the prime subfield (index < p), which is all
-    the grammar's integer literals can denote.
-    """
-    if len(names) != g.nvars:
-        raise ValidationError(f"{g.nvars} variables but {len(names)} names")
-    if g.is_zero():
-        return "0"
-    p = g.field.p
-    parts = []
-    for exps, c in g.sorted_terms():
-        if c >= p:
-            raise ValidationError(
-                f"coefficient index {c} is outside the prime subfield and has no literal form"
-            )
-        vars_part = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                vars_part.append(name)
-            elif e > 1:
-                vars_part.append(f"{name}^{e}")
-        if not vars_part:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(vars_part))
-        else:
-            parts.append(str(c) + "*" + "*".join(vars_part))
-    return " + ".join(parts)

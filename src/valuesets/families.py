@@ -32,12 +32,13 @@ moves fastest, and evaluate polynomials only through `MultiPoly.eval`.
   its right, a constraint that reduces to a constant, or a step where no
   coordinate is held in one clean term.
 
-`FamilySpec.space_size()` is the size of the index space `enumerate_family`
-walks, and a (lo, hi) slice of it is a clean unit of parallel work.  Given
-a `weigh` function of the walked coordinates, `enumerate_family` yields
-only the members it weighs nonzero, with their weights; the engine's scan
-passes its orbit weights this way, so on the direct walk a member it skips
-costs no rule evaluation.
+`FamilySpec.walked` names the coordinates `enumerate_family` walks, and
+`FamilySpec.space_size()` is the size of that index space; a (lo, hi) slice
+of it is a clean unit of parallel work.  Given a `weigh` function of the
+walked coordinates, `enumerate_family` yields only the members it weighs
+nonzero, with their weights; the engine's scan passes its orbit weights
+this way, so on the direct walk a member it skips costs no rule
+evaluation.
 """
 
 from itertools import islice, product
@@ -54,10 +55,10 @@ from .multipoly import MultiPoly, elementary_symmetric, weighted_compose
 
 class FamilySpec:
     __slots__ = (
-        "field", "d", "m", "constraints", "degrees", "kind", "solution", "direct"
+        "field", "d", "m", "constraints", "degrees", "solution", "direct", "walked"
     )
 
-    def __init__(self, field, d, m, constraints, kind="custom"):
+    def __init__(self, field, d, m, constraints):
         if d < 1:
             raise ParameterRange(f"degree d={d} must be positive")
         if m != len(constraints):
@@ -76,13 +77,14 @@ class FamilySpec:
         self.m = m
         self.constraints = tuple(constraints)
         self.degrees = tuple(g.total_degree for g in constraints)
-        self.kind = kind
         # (free, rules) when the constraints solve, else None
         self.solution = _solve(field, d - 1, self.constraints)
         # walked over the free coordinates only when every rule reads left
         self.direct = self.solution is not None and all(
             not any(exps[j:]) for j, rule in self.solution[1] for exps in rule.terms
         )
+        # the coordinates `enumerate_family` walks: the free ones, or all
+        self.walked = self.solution[0] if self.direct else tuple(range(d - 1))
 
     def space_size(self):
         """Size of the index space `enumerate_family` walks.
@@ -90,13 +92,12 @@ class FamilySpec:
         q^(free coordinates), the member count, for a family walked
         directly; otherwise q^(d-1), the candidate count.
         """
-        free = len(self.solution[0]) if self.direct else self.d - 1
-        return self.field.q**free
+        return self.field.q ** len(self.walked)
 
     def __repr__(self):
         return (
-            f"FamilySpec(kind={self.kind!r}, q={self.field.q}, d={self.d}, "
-            f"m={self.m}, degrees={list(self.degrees)})"
+            f"FamilySpec(q={self.field.q}, d={self.d}, m={self.m}, "
+            f"degrees={list(self.degrees)})"
         )
 
 
@@ -160,7 +161,7 @@ def enumerate_family(spec, partition=None, weigh=None):
             if weight:
                 yield a, weight
         return
-    free, rules = spec.solution
+    free, rules = spec.walked, spec.solution[1]
     lo, hi = _check_partition(partition, spec.space_size())
     a = [0] * (spec.d - 1)
     for values in islice(product(range(spec.field.q), repeat=len(free)), lo, hi):
@@ -198,7 +199,7 @@ def linear_family(field, d, m, forms):
             raise ParameterRange(f"form of degree {g.total_degree} is not linear")
         if any(exps[d - 2] for exps in g.terms):
             raise ParameterRange("linear constraints may not involve A1")
-    spec = FamilySpec(field, d, m, forms, kind="linear")
+    spec = FamilySpec(field, d, m, forms)
     if spec.solution is None:
         raise RankDeficient(f"linear forms have rank < m={m}")
     return spec
@@ -266,4 +267,4 @@ def symmetric_family(field, d, m, s, shapes):
         if S.nvars != s:
             raise ArityMismatch(f"shape polynomial has {S.nvars} variables, expected {s}")
         constraints.append(weighted_compose(S, pis))
-    return FamilySpec(field, d, m, constraints, kind="symmetric")
+    return FamilySpec(field, d, m, constraints)

@@ -3,8 +3,8 @@
 A MultiPoly stores a map from exponent vectors (tuples of length nvars) to
 nonzero coefficient indices of its field.  Values are immutable by
 convention: every operation returns a new instance.  Terms are kept in a
-plain dict; canonical (graded lexicographic, descending) order is produced
-on demand by sorted_terms, so printing and highest_form are deterministic.
+plain dict; `repr` lists them in descending graded lexicographic order, so
+it does not depend on the order they were made in.
 
 Variables are anonymous indices 0..nvars-1 here.  Callers that care about
 coefficient-slot names (A_{d-1}, ..., A_1 descending, or Y_1..Y_s for the
@@ -14,10 +14,6 @@ symmetric constructors) attach them at the parsing/printing layer.
 from itertools import combinations
 
 from .errors import ArityMismatch, ZeroPolynomial
-
-
-def _grlex_key(exps):
-    return (sum(exps), exps)
 
 
 class MultiPoly:
@@ -61,10 +57,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def sorted_terms(self):
-        """Terms in descending graded-lex order (canonical)."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def _check(self, other):
         if self.field != other.field:
@@ -188,7 +180,8 @@ class MultiPoly:
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        body = ", ".join(f"{e}: {c}" for e, c in self.sorted_terms()) or "0"
+        terms = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        body = ", ".join(f"{e}: {c}" for e, c in terms) or "0"
         return f"MultiPoly({self.nvars} vars; {body})"
 
 

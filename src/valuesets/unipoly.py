@@ -10,7 +10,7 @@ coincident nodes are legal inputs.
 
 Resultant convention: `resultant(f, g)` is the determinant of the Sylvester
 matrix of (f, g), equivalently lc(f)^deg(g) times the product of g over the
-roots of f in a splitting field.  `discriminant(f)` is `resultant(f, f')`
+roots of f in a splitting field.  `disc_info(f).disc` is `resultant(f, f')`
 with no leading-coefficient or sign normalization.
 """
 
@@ -232,16 +232,6 @@ def principal_subresultant(f: UniPoly, g: UniPoly, j: int) -> int:
         rows.append([g.coefficient(deg - k) for deg in col_degs])
     assert len(rows) == size
     return linalg.det(f.field, rows)
-
-
-def discriminant(f: UniPoly) -> int:
-    """resultant(f, f'); 0 when f' vanishes identically (see disc_info)."""
-    if f.degree < 2:
-        raise DegreeTooLow("discriminant needs degree >= 2")
-    d = f.derivative()
-    if d.is_zero():
-        return 0
-    return resultant(f, d)
 
 
 def subdiscriminant_first(f: UniPoly) -> int:

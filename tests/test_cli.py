@@ -634,6 +634,26 @@ def test_main_runs_the_largest_extension_degree(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, old, prefix",
+    [
+        ("run.diag_extensions", "diag_extensions = 1,2", "diag_extensions = 1,"),
+        ("field.p", "p = 7", "p = "),
+    ],
+    ids=["diag_extensions", "p"],
+)
+def test_main_rejects_a_huge_integer_in_one_short_line(tmp_path, capsys, key, old, prefix):
+    # int(text, 0) refuses decimal strings over 4 300 digits; the error once
+    # called that a non-integer and echoed all 5 000 digits
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(SMALL_Q7.replace(old, prefix + "9" * 5000), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0].encode()) <= 200
+    assert err[0].startswith("config error: line ") and f"key {key} " in err[0]
+    assert "5000 digits" in err[0]
+
+
+@pytest.mark.parametrize(
     "old, new, message",
     [
         ("forms = A2", "forms = A2^2", "is not linear"),

@@ -72,7 +72,7 @@ def test_full_config_roundtrip():
     assert cfg.diag_extensions == (1,)
     assert cfg.csv_path == "out.csv" and cfg.summary_path == "out.txt"
     spec = build_family(cfg)
-    assert spec.kind == "custom" and spec.field.q == 4
+    assert spec.field.q == 4
 
 
 def test_q_not_above_d_is_rejected():
@@ -169,7 +169,7 @@ def test_symmetric_requirements():
         parse_config(base + "s_count = 1\nS = Y1; Y1\n")
     cfg = parse_config(base + "s_count = 1\nS = Y1\n")
     spec = build_family(cfg)
-    assert spec.kind == "symmetric" and spec.degrees == (1,)
+    assert spec.degrees == (1,)
 
 
 def test_linear_rank_check_propagates():

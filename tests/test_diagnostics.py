@@ -4,6 +4,7 @@ import pytest
 
 from valuesets import diagnostics
 from valuesets.diagnostics import (
+    DEFAULT_EXTENSION_DEGREES,
     FAIL,
     INCONCLUSIVE,
     PASS,
@@ -132,7 +133,8 @@ def test_too_many_constraints_give_inconclusive_not_traceback():
         assert rep.status == INCONCLUSIVE
         assert "size bracket needs d >= m+2" in rep.text
         assert rep.evidence == {"constant": 4, "dimension": 0}
-    assert [rep.status for rep in run_all(spec, scan_family(spec))][:2] == [INCONCLUSIVE, INCONCLUSIVE]
+    reports = run_all(spec, scan_family(spec), DEFAULT_EXTENSION_DEGREES)
+    assert [rep.status for rep in reports][:2] == [INCONCLUSIVE, INCONCLUSIVE]
 
 
 def test_solved_families_are_not_walked(monkeypatch):
@@ -158,7 +160,7 @@ def test_solved_families_are_not_walked(monkeypatch):
     }
     f5 = field_new(5)
     graph = linear_family(f5, 4, 1, [constraint(f5, 4, "A3")])
-    reports = run_all(graph, scan_family(graph))
+    reports = run_all(graph, scan_family(graph), DEFAULT_EXTENSION_DEGREES)
     expected = {"constant": 1, "dimension": 2}
     for k, big_q in ((1, 5), (2, 25)):
         expected.update({
@@ -276,7 +278,7 @@ def test_reports_are_deterministic():
 def test_run_all_order_and_pass_texts():
     f11 = field_new(11)
     spec = linear_family(f11, 4, 1, [constraint(f11, 4, "A3")])
-    reports = run_all(spec, scan_family(spec))
+    reports = run_all(spec, scan_family(spec), DEFAULT_EXTENSION_DEGREES)
     assert [r.check for r in reports] == [
         "regularity",
         "regularity-at-infinity",

@@ -142,7 +142,6 @@ def test_symmetric_family_construction():
     spec = symmetric_family(F5, 6, 1, 1, [y1])
     want = constraint("A5 + A4 + A3 + A2", F5, 6)
     assert spec.constraints == (want,)
-    assert spec.kind == "symmetric"
     # m=1, s=2, S=Y2, d=7: constraint is Pi_2 over A6..A2, A1 unused
     y2 = MultiPoly.variable(F5, 2, 1)
     spec2 = symmetric_family(F5, 7, 1, 2, [y2])
@@ -196,6 +195,7 @@ def test_graph_family_solved_over_f16():
     # A2 = A3^3 + A3^2 + A4 + 1 reads only coordinates to its left
     f16 = field_new(2, 4)
     spec = FamilySpec(f16, 5, 1, [constraint("A2 + A3^3 + A3^2 + A4 + 1", f16, 5)])
+    assert spec.walked == (0, 1, 3)  # A4, A3, A1; the pivot A2 is filled in
     assert spec.space_size() == 4096
     assert list(enumerate_family(spec, partition=(0, 300))) == list(
         itertools.islice(filter_family(spec), 300)
@@ -221,6 +221,7 @@ def test_rule_reading_to_the_right_stays_on_filter():
     spec = FamilySpec(F5, 4, 1, [constraint("A3 + A1^2", F5, 4)])
     assert spec.solution is not None
     assert not spec.direct
+    assert spec.walked == (0, 1, 2)
     assert spec.space_size() == 5**3
     assert list(enumerate_family(spec)) == list(filter_family(spec))
     assert family_cardinality(spec) == 25

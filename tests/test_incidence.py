@@ -31,9 +31,7 @@ def spec_a2_f5():
 
 def quad_spec(field, d):
     top = d - 1
-    return FamilySpec(
-        field, d, 1, [constraint(f"A{top}^2 - A{top - 1}", field, d)], kind="custom"
-    )
+    return FamilySpec(field, d, 1, [constraint(f"A{top}^2 - A{top - 1}", field, d)])
 
 
 def test_r1_counts():

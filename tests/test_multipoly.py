@@ -172,10 +172,14 @@ def test_map_coefficients_identity():
 
 
 def test_sorted_terms_graded_lex():
+    """repr lists the terms in descending graded-lex order, whatever order
+    they were made in; `_solve`'s residue error shows this text."""
     a, b = var(F5, 2, 0), var(F5, 2, 1)
     g = MultiPoly.constant(F5, 2, 1) + b + a + b**2 + a * b + a**2
-    order = [e for e, _ in g.sorted_terms()]
-    assert order == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
+    assert repr(g) == (
+        "MultiPoly(2 vars; (2, 0): 1, (1, 1): 1, (0, 2): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1)"
+    )
+    assert repr(MultiPoly.zero(F5, 2)) == "MultiPoly(2 vars; 0)"
 
 
 # prime and extension fields; F_512 is past the size that gets lookup tables

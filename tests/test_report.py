@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from valuesets.bounds import LogMagnitude
@@ -32,10 +33,8 @@ def test_count_rendering_switches_to_log_form():
 
 
 def test_magnitude_rendering():
-    small = LogMagnitude.from_int(1000)
+    small = LogMagnitude(math.log(1000))
     assert float(format_magnitude(small)) == 1000.0
-    import math
-
     huge = LogMagnitude(40 * math.log(10))
     assert format_magnitude(huge) == "log10=40.0000"
 

@@ -12,7 +12,6 @@ from valuesets.ffield import field_new
 from valuesets.unipoly import (
     UniPoly,
     disc_info,
-    discriminant,
     divided_difference,
     homogeneous_sums,
     poly_gcd,
@@ -176,12 +175,12 @@ def test_resultant_multiplicative_in_first_argument():
 
 def test_discriminant_frozen_example():
     # raw Res(f, f') with no sign normalization: 3 for T^2+T+1 over F_7
-    assert discriminant(UniPoly.of(F7, [1, 1, 1])) == 3
+    assert disc_info(UniPoly.of(F7, [1, 1, 1])).disc == 3
 
 
 def test_triple_root_disc_and_subdisc_vanish():
     f = from_roots(F7, [1, 1, 1])
-    assert discriminant(f) == 0
+    assert disc_info(f).disc == 0
     assert subdiscriminant_first(f) == 0
 
 
@@ -196,7 +195,7 @@ def test_disc_info_flags_zero_derivative():
 
 def test_degree_too_low():
     with pytest.raises(DegreeTooLow):
-        discriminant(UniPoly.of(F5, [1, 1]))
+        disc_info(UniPoly.of(F5, [1, 1]))
     with pytest.raises(DegreeTooLow):
         subdiscriminant_first(UniPoly.of(F5, [2, 1]))
 
@@ -210,7 +209,7 @@ def test_disc_iff_repeated_root_exhaustive(field, d):
         if fp.is_zero():
             continue
         g = poly_gcd(f, fp)
-        disc = discriminant(f)
+        disc = disc_info(f).disc
         assert (disc == 0) == (g.degree >= 1), f
         sub = subdiscriminant_first(f)
         assert ((disc == 0) and (sub == 0)) == (g.degree >= 2), f
