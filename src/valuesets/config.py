@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .diagnostics import DEFAULT_EXTENSION_DEGREES, POINT_BUDGET
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, shown
 from .exprs import (
     coeff_variables,
     parse_poly_expr,
@@ -82,7 +82,7 @@ def _int(value, line, key):
                 f"digits, got {digits} digits starting {value[:12]!r}",
                 line=line,
             )
-        raise ParseError(f"key {key} expects an integer, got {value!r}", line=line)
+        raise ParseError(f"key {key} expects an integer, got {shown(value)!r}", line=line)
 
 
 def _int_list(value, line, key):
@@ -99,7 +99,7 @@ def _text(value, line, key):
 
 def _kind(value, line, key):
     if value not in _KINDS:
-        raise ValidationError(f"unknown family kind {value!r}, expected one of {_KINDS}")
+        raise ValidationError(f"unknown family kind {shown(value)!r}, expected one of {_KINDS}")
     return value
 
 
@@ -144,7 +144,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ParseError("unterminated section header", line=lineno)
             section = line[1:-1].strip()
             if section not in _SECTIONS:
-                raise ParseError(f"unknown section [{section}]", line=lineno)
+                raise ParseError(f"unknown section [{shown(section)}]", line=lineno)
             continue
         if "=" not in line:
             raise ParseError("expected key = value", line=lineno)
@@ -154,7 +154,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         full = f"{section}.{key}"
         if full not in _KEYS:
-            raise ParseError(f"unknown key {key} in [{section}]", line=lineno)
+            raise ParseError(f"unknown key {shown(key)} in [{section}]", line=lineno)
         if full in raw:
             raise ParseError(f"duplicate key {full}", line=lineno)
         raw[full] = (value.strip(), lineno)
@@ -167,11 +167,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValidationError(f"missing required key {key}")
     config = ExperimentConfig(**fields)
     validate_config(config)
+    build_family(config)  # expression and family errors surface here
     return config
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Range checks plus an eager family build for expression errors."""
+    """The range checks; `parse_config` builds the family after them."""
+    if config.s < 1:
+        raise ValidationError(f"s >= 1 required (s={config.s})")
     if config.q <= config.d:
         raise ValidationError(f"q > d required (q={config.q}, d={config.d})")
     if config.d < config.m + 2:
@@ -203,7 +206,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ValidationError(
             f"m must match the number of {noun} (m={config.m}, {noun}={len(config.exprs)})"
         )
-    build_family(config)
 
 
 def build_family(config: ExperimentConfig) -> FamilySpec:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Each class names the precondition it reports; messages carry the offending
-values so a failing run can be reproduced from the text alone.
+values so a failing run can be reproduced from the text alone, and `shown`
+shortens a long one.
 """
 
 
@@ -83,3 +84,11 @@ class ValidationError(ValueError):
 
 class IdentityViolation(AssertionError):
     """An exact combinatorial identity failed; aborts the run loudly."""
+
+
+def shown(text):
+    """`text` for an error message: unchanged up to 40 characters, else its
+    first 12 characters and its length, so a long value prints one short line."""
+    if len(text) <= 40:
+        return text
+    return f"{text[:12]}... ({len(text)} characters)"

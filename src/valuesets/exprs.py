@@ -2,150 +2,124 @@
 
 Grammar (whitespace separates nothing; '#' is not a comment here):
 
-    expr    := ['-'] term (('+' | '-') term)*
+    expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
-    factor  := primary ['^' uint]
-    primary := uint | name | '(' expr ')' | '-' primary
+    factor  := '-' factor | primary ['^' uint]
+    primary := uint | name | '(' expr ')'
 
-Integer literals are reduced into the field through the canonical map
-n -> n * 1 (so they always land in the prime subfield).
+A minus negates the whole factor after it, power included, wherever it
+stands, as in Python: `-A3^2`, `0 + -A3^2` and `2*-A3^2` all negate A3^2,
+while `(-A3)^2` is A3^2.  Parentheses nest at most MAX_DEPTH deep; a deeper
+'(' is a ParseError at its position, so the answer does not depend on the
+caller's stack depth.  Integer literals are reduced into the field through
+the canonical map n -> n * 1 (so they always land in the prime subfield).
 """
 
-from .errors import ParseError, UnknownVariable
+import re
+
+from .errors import ParseError, UnknownVariable, shown
 from .multipoly import MultiPoly
 
-_SYMBOLS = "+-*^()"
+MAX_DEPTH = 100
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # 'int' | 'name' | one of _SYMBOLS | 'end'
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+# whitespace, an integer, a name, a symbol, or any other character (an error)
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<sym>[-+*^()])|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 class _Parser:
     def __init__(self, text, field, nvars, variables):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
         self.field = field
         self.nvars = nvars
         self.variables = variables
+        self.depth = 0
+        self.pos = 0
+        # (kind, text, offset); kind is 'int', 'name', the symbol itself or 'end'
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error("unexpected character", (kind, m[0], m.start()))
+            if kind != "space":
+                self.tokens.append((m[0] if kind == "sym" else kind, m[0], m.start()))
+        self.tokens.append(("end", "", len(text)))
+
+    def where(self, offset):
+        """(line, col) of a text offset, both counted from 1."""
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
+
+    def error(self, message, tok, offset=None, cls=ParseError):
+        """cls(message + the token quoted) at offset, by default the token's."""
+        where = self.where(tok[2] if offset is None else offset)
+        return cls(f"{message} {shown(tok[1] or 'end of input')!r}", *where)
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.tokens[self.pos][0]
 
     def take(self):
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok.kind != kind:
-            what = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {what!r}", tok.line, tok.col)
-        return tok
+        return self.tokens[self.pos - 1]
 
     def parse(self):
         g = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        if self.peek() != "end":
+            raise self.error("unexpected trailing", self.take())
         return g
 
     def expr(self):
-        if self.peek().kind == "-":
-            self.take()
-            g = -self.term()
-        else:
-            g = self.term()
-        while self.peek().kind in "+-":
-            op = self.take()
+        g = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
             rhs = self.term()
-            g = g + rhs if op.kind == "+" else g - rhs
+            g = g + rhs if op == "+" else g - rhs
         return g
 
     def term(self):
         g = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.take()
             g = g * self.factor()
         return g
 
     def factor(self):
+        negate = False
+        while self.peek() == "-":  # a run of minus signs, read in a loop
+            self.take()
+            negate = not negate
         g = self.primary()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             caret = self.take()
             tok = self.take()
-            if tok.kind != "int":
-                what = tok.text or "end of input"
-                raise ParseError(f"expected integer exponent, found {what!r}", caret.line, caret.col)
-            g = g ** int(tok.text)
-        return g
+            if tok[0] != "int":
+                raise self.error("expected integer exponent, found", tok, caret[2])
+            g = g ** int(tok[1])
+        return -g if negate else g
 
     def primary(self):
         tok = self.take()
-        if tok.kind == "int":
-            return MultiPoly.constant(self.field, self.nvars, self.field.scalar(int(tok.text)))
-        if tok.kind == "name":
-            idx = self.variables.get(tok.text)
+        kind, text, offset = tok
+        if kind == "int":
+            return MultiPoly.constant(self.field, self.nvars, self.field.scalar(int(text)))
+        if kind == "name":
+            idx = self.variables.get(text)
             if idx is None:
-                raise UnknownVariable(f"unknown variable {tok.text!r}", tok.line, tok.col)
+                raise self.error("unknown variable", tok, cls=UnknownVariable)
             return MultiPoly.variable(self.field, self.nvars, idx)
-        if tok.kind == "(":
+        if kind == "(":
+            if self.depth == MAX_DEPTH:
+                where = self.where(offset)
+                raise ParseError(f"parentheses nest more than {MAX_DEPTH} deep", *where)
+            self.depth += 1
             g = self.expr()
-            self.expect(")")
+            self.depth -= 1
+            close = self.take()
+            if close[0] != ")":
+                raise self.error("expected ')', found", close)
             return g
-        if tok.kind == "-":
-            return -self.primary()
-        what = tok.text or "end of input"
-        raise ParseError(f"expected a value, found {what!r}", tok.line, tok.col)
+        raise self.error("expected a value, found", tok)
 
 
 def coeff_variables(d):
@@ -161,4 +135,3 @@ def symmetric_variables(s):
 def parse_poly_expr(text, field, nvars, variables):
     """Parse an expression into a MultiPoly over the given variable set."""
     return _Parser(text, field, nvars, variables).parse()
-

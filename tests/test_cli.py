@@ -653,6 +653,58 @@ def test_main_rejects_a_huge_integer_in_one_short_line(tmp_path, capsys, key, ol
     assert "5000 digits" in err[0]
 
 
+LONG = "abcdefghijklmnop" + "x" * 4984  # 5 000 characters
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("p = 7", f"p = {LONG}"),
+        ("kind = linear", f"kind = {LONG}"),
+        ("[run]", f"[{LONG}]"),
+        ("r_max = 3", f"{LONG} = 3"),
+        ("forms = A2", f"forms = A2 + {LONG}"),
+        ("forms = A2", f"forms = A2 + 1{LONG}"),
+    ],
+    ids=["p", "kind", "section", "key", "unknown-variable", "trailing"],
+)
+def test_main_quotes_a_long_value_in_one_short_line(tmp_path, capsys, old, new):
+    # each of these once echoed all 5 000 characters in its one error line
+    cfg_path = tmp_path / "long.cfg"
+    cfg_path.write_text(SMALL_Q7.replace(old, new), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0].encode()) <= 200
+    assert err[0].startswith("config error: ")
+    assert "abcdefghijkl... (5000 characters)" in err[0]
+
+
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_main_rejects_an_extension_degree_below_one(tmp_path, capsys, s):
+    # q = p^s was read first: s = -1 reported q=0.09090909090909091
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(SMALL_Q7.replace("p = 7", f"p = 7\ns = {s}"), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: s >= 1 required (s={s})\n"
+
+
+def test_main_builds_the_family_twice(tmp_path, monkeypatch, capsys):
+    # once when the config is parsed, once when the run starts; checking the
+    # flags builds nothing
+    builds = []
+
+    def counted(config):
+        builds.append(config.family_id())
+        return build_family(config)
+
+    monkeypatch.setattr("valuesets.config.build_family", counted)
+    monkeypatch.setattr(cli, "build_family", counted)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL_Q7, encoding="utf-8")
+    assert main(["run", str(cfg_path), "--workers", "2", "--oracle-budget", "0"]) == 0
+    assert builds == ["linear-d3-m1-A2"] * 2
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [

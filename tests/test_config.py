@@ -10,6 +10,7 @@ from valuesets.errors import (
     RankDeficient,
     ReducibleModulus,
     ValidationError,
+    shown,
 )
 
 MINIMAL = dedent(
@@ -112,6 +113,11 @@ def test_value_error_without_column_names_only_the_line():
     with pytest.raises(ParseError) as exc:
         parse_config(MINIMAL.replace("p = 7", "p = seven"))
     assert str(exc.value) == "line 2: key field.p expects an integer, got 'seven'"
+
+
+def test_shown_keeps_short_text_and_shortens_long_text():
+    assert shown("x" * 40) == "x" * 40
+    assert shown("abcdefghijkl" + "x" * 29) == "abcdefghijkl... (41 characters)"
 
 
 def test_grammar_errors_carry_line_numbers():

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valuesets.errors import ParseError, UnknownVariable
-from valuesets.exprs import coeff_variables, parse_poly_expr, symmetric_variables
+from valuesets.exprs import MAX_DEPTH, coeff_variables, parse_poly_expr, symmetric_variables
 from valuesets.ffield import field_new
 from valuesets.multipoly import MultiPoly
 
@@ -67,3 +69,89 @@ def test_parse_errors_carry_position():
         parse_poly_expr("A3 +\n  *2", F5, 3, VARS4)
     assert exc2.value.line == 2
 
+
+
+def test_minus_negates_the_powered_factor_everywhere():
+    # a minus negates the whole factor after it, power included, as in Python
+    assert parse4("A2 + -A3^2") == parse4("A2 - A3^2")
+    assert parse4("0 + -A3^2") == -parse4("A3^2")
+    assert parse4("2*-A3^2") == parse4("-2*A3^2")
+    assert parse4("--A3^2") == parse4("A3^2")
+    assert parse4("(-A3)^2") == parse4("A3^2")
+
+
+def test_nesting_limit():
+    assert parse4("(" * MAX_DEPTH + "A3" + ")" * MAX_DEPTH) == parse4("A3")
+    with pytest.raises(ParseError) as exc:
+        parse4("(" * (MAX_DEPTH + 1) + "A3" + ")" * (MAX_DEPTH + 1))
+    assert (exc.value.line, exc.value.col) == (1, MAX_DEPTH + 1)
+    with pytest.raises(ParseError):
+        parse4("(" * 10_000 + "A3" + ")" * 10_000)
+
+
+def test_a_long_run_of_minus_signs_parses():
+    assert parse4("-" * 10_000 + "A3") == parse4("A3")
+    assert parse4("-" * 10_001 + "A3") == -parse4("A3")
+
+
+# Round trip: a random expression tree, rendered with the fewest parentheses
+# the grammar needs, parses to the tree evaluated through MultiPoly's
+# operators.  Binding levels: 1 sum, 2 product, 3 negation and power, 4 atom.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "neg": 3, "^": 3}
+
+
+def _trees(depth):
+    leaf = st.integers(0, 12) | st.sampled_from(sorted(VARS4))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    power = st.tuples(st.just("^"), sub, st.integers(0, 2))
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), sub, sub),
+        st.tuples(st.just("neg"), sub | power),  # a minus before a power, often
+        power,
+        leaf,
+    )
+
+
+def _level(tree):
+    return _LEVEL[tree[0]] if isinstance(tree, tuple) else 4
+
+
+def _render(tree, at_least=1):
+    """Token list of tree, parenthesised if it binds looser than at_least."""
+    if not isinstance(tree, tuple):
+        return [str(tree)]
+    op = tree[0]
+    if op == "neg":
+        tokens = ["-"] + _render(tree[1], 3)
+    elif op == "^":
+        tokens = _render(tree[1], 4) + ["^", str(tree[2])]
+    else:  # left-associative: the right operand binds one level tighter
+        level = _LEVEL[op]
+        tokens = _render(tree[1], level) + [op] + _render(tree[2], level + 1)
+    return tokens if _level(tree) >= at_least else ["("] + tokens + [")"]
+
+
+def _evaluate(tree, field):
+    if isinstance(tree, int):
+        return MultiPoly.constant(field, 3, field.scalar(tree))
+    if isinstance(tree, str):
+        return MultiPoly.variable(field, 3, VARS4[tree])
+    op, *args = tree
+    if op == "neg":
+        return -_evaluate(args[0], field)
+    if op == "^":
+        return _evaluate(args[0], field) ** args[1]
+    a, b = (_evaluate(arg, field) for arg in args)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_trees(4), field=st.sampled_from([F5, field_new(2, 2)]), data=st.data())
+def test_round_trip_through_minimal_parentheses(tree, field, data):
+    tokens = _render(tree)
+    gaps = data.draw(st.lists(st.sampled_from(["", " ", "  ", "\n"]),
+                              min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(gap + token for gap, token in zip(gaps, tokens))
+    assert parse4(text, field) == _evaluate(tree, field)
