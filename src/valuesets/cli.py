@@ -5,12 +5,12 @@ for the root-count histogram, the multiplicity patterns and the
 repeated-root loci (optionally partitioned across worker processes), take
 the hermite and coincident tuple counts from the scan, check every exact
 cross-identity (these are theorems, so a mismatch aborts the run), run the
-oracles that fit in the configured budget (the prefix-equation DFS among
-them), evaluate the headline allowance, attach diagnostics (the loci check
-reads the scan), and emit a CSV row plus a human-readable summary.  The
-oracles all come from `incidence`.  `--seed-check` is one run of this
-pipeline on a built-in graph family over F_5 at the default oracle
-budget, so the DFS and every literal oracle check it.
+oracles that fit in the configured budget (the exact-quotient prefix DFS
+among them), evaluate the headline allowance, attach diagnostics (the
+loci check reads the scan), and emit a CSV row plus a human-readable
+summary.  The oracles all come from `incidence`.  `--seed-check` is one
+run of this pipeline on a built-in graph family over F_5 at the default
+oracle budget, so the DFS and every literal oracle check it.
 
 Worker processes only return partial sums; the coordinator merges them in
 slice order, so results are identical for any worker count.  `workers` sets

@@ -13,14 +13,20 @@ while `(-A3)^2` is A3^2.  Parentheses nest at most MAX_DEPTH deep; a deeper
 '(' is a ParseError at its position, so the answer does not depend on the
 caller's stack depth.  Integer literals are reduced into the field through
 the canonical map n -> n * 1 (so they always land in the prime subfield).
+A literal or exponent past Python's int-string limit is a ParseError, and
+so is a '*' or '^' whose term pairs, priced before it multiplies, take the
+expression past MAX_TERM_PAIRS: `A3^100` is cheap, `(A3+A2+A1+1)^3000` not.
 """
 
 import re
+import sys
+from math import comb
 
 from .errors import ParseError, UnknownVariable, shown
 from .multipoly import MultiPoly
 
 MAX_DEPTH = 100
+MAX_TERM_PAIRS = 1_000_000
 
 # whitespace, an integer, a name, a symbol, or any other character (an error)
 _TOKEN = re.compile(
@@ -36,6 +42,7 @@ class _Parser:
         self.nvars = nvars
         self.variables = variables
         self.depth = 0
+        self.pairs = 0  # term pairs the products so far visit, at most
         self.pos = 0
         # (kind, text, offset); kind is 'int', 'name', the symbol itself or 'end'
         self.tokens = []
@@ -55,6 +62,19 @@ class _Parser:
         """cls(message + the token quoted) at offset, by default the token's."""
         where = self.where(tok[2] if offset is None else offset)
         return cls(f"{message} {shown(tok[1] or 'end of input')!r}", *where)
+
+    def integer(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:  # past Python's digit limit; quote the first 12 digits
+            limit = sys.get_int_max_str_digits()
+            message = f"an integer has at most {limit} digits, found {len(tok[1])} starting"
+            raise self.error(message, (tok[0], tok[1][:12], tok[2])) from None
+
+    def charge(self, pairs, tok):
+        self.pairs += pairs
+        if self.pairs > MAX_TERM_PAIRS:
+            raise self.error(f"expansion visits over {MAX_TERM_PAIRS} term pairs at", tok)
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -80,8 +100,10 @@ class _Parser:
     def term(self):
         g = self.factor()
         while self.peek() == "*":
-            self.take()
-            g = g * self.factor()
+            star = self.take()
+            h = self.factor()
+            self.charge(len(g.terms) * len(h.terms), star)
+            g = g * h
         return g
 
     def factor(self):
@@ -95,14 +117,16 @@ class _Parser:
             tok = self.take()
             if tok[0] != "int":
                 raise self.error("expected integer exponent, found", tok, caret[2])
-            g = g ** int(tok[1])
+            n = self.integer(tok)
+            self.charge(_power_pairs(len(g.terms) or 1, n), caret)
+            g = g ** n
         return -g if negate else g
 
     def primary(self):
         tok = self.take()
         kind, text, offset = tok
         if kind == "int":
-            return MultiPoly.constant(self.field, self.nvars, self.field.scalar(int(text)))
+            return MultiPoly.constant(self.field, self.nvars, self.field.scalar(self.integer(tok)))
         if kind == "name":
             idx = self.variables.get(text)
             if idx is None:
@@ -120,6 +144,22 @@ class _Parser:
                 raise self.error("expected ')', found", close)
             return g
         raise self.error("expected a value, found", tok)
+
+
+def _power_pairs(t, n):
+    """Term pairs `MultiPoly.__pow__` visits raising a t-term polynomial to
+    the n, at most (g^k has at most comb(k + t - 1, k) terms); the count
+    stops once it passes MAX_TERM_PAIRS."""
+    pairs, have, base = 0, 0, 1  # the loop holds g^have and g^base
+    while n and pairs <= MAX_TERM_PAIRS:
+        terms = comb(base + t - 1, base)
+        if n & 1:
+            pairs += comb(have + t - 1, have) * terms
+            have += base
+        n >>= 1
+        pairs += terms * terms if n else 0
+        base *= 2
+    return pairs
 
 
 def coeff_variables(d):

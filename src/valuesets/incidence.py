@@ -26,34 +26,27 @@ family scan (`ScanResult.hermite_count` and `coincident_count`, fed by the
 multiplicity patterns of the Horner sweep); the checks below take the scan
 itself.  `hermite_profile` computes them independently and serves as an
 oracle: the CLI runs it when its cost fits the oracle budget, and
-`collect` always runs it.  `check_pattern_counts` compares the two.  Being
-an oracle, the DFS is the one per-member pass over a family outside
-`engine.scan_family`.
+`collect` always runs it.  `check_pattern_counts` compares the two.
 
-`hermite_profile` walks a DFS over node prefixes.  The state per prefix is
-the vector of complete homogeneous sums h_k(nodes); appending a node t
-updates it by h'_k = h_k + t*h'_{k-1}, and the depth-i equation is
-sum_j c_j * h'_{j-i+1} over the coefficients c of the member (monic, so
-c_d = 1; the constant slot cancels out of every depth >= 2 equation).
-Failing prefixes cut their whole subtree.  One kernel serves every field:
-it works on raw indices through the lookup rows of `Field.rows()`.
+Both hermite oracles run one kernel, `_chains`: a DFS over node prefixes
+whose state is the exact quotient of f + a_0 by the node product so far.
+A child t is kept when synthetic division by (T - t) leaves remainder 0;
+the node product divides f + a_0 exactly when every division of the chain
+is exact, repeated nodes counted by multiplicity, so the chains of depth r
+are the hermite r-tuples, and those with a repeated node the coincident
+ones.  The root pins a_0 = -f(t), so a start node costs one Horner pass
+and the nodes visited are the price `cli._oracle_stages` checks.
+`hermite_profile` walks `enumerate_family`, the division oracle the
+candidate filter's members.
 
 Every brute-force recount of the scan lives in this module; `engine` is
-only the scan.  The budget-guarded oracles at the end of the module price
-their work before they list a member (`oracle_members`).  The literal
-S_r and distinct-tuple oracles share one kernel, `_literal_tuple_count`:
-it evaluates each member once per node through the `Field` methods, finds
-the roots of each f + a_0 by testing every node, and counts the r-subsets
-resp. ordered r-tuples of distinct nodes that are all roots.
-
-The division oracle `count_hermite_tuples_oracle` walks node
-prefixes too, but its state is the exact quotient of f + a_0 by the node
-product so far, one synthetic division by (T - t) per node; a tuple is
-counted when every division in its chain leaves remainder 0.  It stays
-independent of the scan and of `hermite_profile`: it keeps quotients, not
-complete homogeneous sums, calls the `Field` methods, not `Field.rows()`,
-takes its members from the candidate filter (`oracle_members`) and reads
-nothing from the scan.
+only the scan.  No oracle reads `Field.rows()`, the scan's lookup table, or
+anything of the scan but its member count: they call the `Field` methods.
+The budget-guarded oracles price their work before they list a member
+(`oracle_members`).  The literal S_r and distinct-tuple oracles share one
+kernel, `_literal_tuple_count`: it evaluates each member once per node,
+finds the roots of each f + a_0 by testing every node, and counts the
+r-subsets resp. ordered r-tuples of distinct nodes that are all roots.
 """
 
 from dataclasses import dataclass
@@ -75,57 +68,42 @@ class IncidenceCounts:
     coincident: int
 
 
-def _profile_member(add, mul, coeffs, r_max, star, coinc, nodes):
-    d = len(coeffs) - 1
+def _chains(field, members, r_max):
+    """(hermite, coincident) count lists for tuple lengths 1..r_max, by the
+    exact-quotient DFS on the `Field` methods.  Depth 0 holds f without its
+    constant slot: a first node's Horner pass is the quotient at a_0 = -f(t).
+    """
+    add, mul = field.add, field.mul
+    nodes = list(field.indices())
+    star = [0] * (r_max + 1)
+    coinc = [0] * (r_max + 1)
 
-    def descend(h, prefix, has_dup, depth):
+    def descend(quotient, prefix, has_dup):
+        depth = len(prefix)
         star[depth] += 1
-        if has_dup:
-            coinc[depth] += 1
+        coinc[depth] += has_dup
         if depth == r_max:
             return
-        nd = depth + 1
-        kmax = d - nd + 1
-        c0 = coeffs[nd - 1]
-        # per k: the add row of h_k and the mul row of the coefficient c_k
-        steps = [
-            (add[h[k]], mul[coeffs[nd - 1 + k]]) for k in range(1, kmax + 1)
-        ]
+        lead, rest = quotient[0], quotient[1:]
         for t in nodes:
-            mt = mul[t]
-            prev = 1
-            dd = c0
-            hp = [1]
-            for add_h, mul_c in steps:
-                prev = add_h[mt[prev]]
-                hp.append(prev)
-                dd = add[dd][mul_c[prev]]
-            if dd == 0:
-                descend(hp, prefix + (t,), has_dup or t in prefix, nd)
+            acc = lead
+            child = [acc]
+            for c in rest:
+                acc = add(mul(acc, t), c)
+                child.append(acc)
+            if not depth or child.pop() == 0:
+                descend(child, prefix + (t,), has_dup or t in prefix)
 
-    for t in nodes:
-        mt = mul[t]
-        h1 = [1]
-        acc = 1
-        for _ in range(d):
-            acc = mt[acc]
-            h1.append(acc)
-        descend(h1, (t,), False, 1)
+    for member in members:
+        descend([1, *member], (), False)
+    return star[1:], coinc[1:]
 
 
 def hermite_profile(spec, r_max):
     """(hermite, coincident) count lists for tuple lengths 1..r_max."""
     if r_max < 1:
         raise ParameterRange(f"need r_max >= 1, got {r_max}")
-    field = spec.field
-    nodes = list(field.indices())
-    add, mul, _, _ = field.rows()
-    star = [0] * (r_max + 1)
-    coinc = [0] * (r_max + 1)
-    for member in enumerate_family(spec):
-        coeffs = [0] + list(reversed(member)) + [1]
-        _profile_member(add, mul, coeffs, r_max, star, coinc, nodes)
-    return star[1:], coinc[1:]
+    return _chains(spec.field, enumerate_family(spec), r_max)
 
 
 def check_identities(scan, r_max, label):
@@ -281,36 +259,14 @@ def count_hermite_tuples_oracle(
 ):
     """Division oracle: tuples whose node product divides f + a_0.
 
-    For each member and shift a_0, a DFS over node prefixes divides the
-    current dividend, f + a_0 at the root, synthetically by (T - t) and
-    descends with the quotient only when the remainder is 0.  The node
-    product divides f + a_0 exactly when each division of the chain is
-    exact, taken in any order, with repeated nodes counted by multiplicity,
-    so the exact chains of depth r are the hermite r-tuples.  The price is
-    q^(r+1) * |A|, one test per node tuple of every (member, a_0) pair,
-    checked against `budget` before any member is listed.
+    The exact-quotient DFS `_chains` over the candidate filter's members;
+    its root pins a_0 = -f(t), one Horner pass per start node.  The price
+    checked against `budget` before any member is listed stays q^(r+1)*|A|,
+    one test per node tuple of every (member, a_0) pair: it overstates the
+    pinned walk, but it is the price the skip notes print.
     """
     if r < 1:
         raise ParameterRange(f"need r >= 1, got {r}")
-    field = spec.field
-    q = field.q
+    q = spec.field.q
     members = oracle_members(spec, q ** (r + 1), budget, "division oracle", member_count)
-    add, mul = field.add, field.mul
-
-    def exact_chains(coeffs, depth):
-        # exact chains of `depth` more nodes under the dividend `coeffs`,
-        # whose coefficients are listed from the leading one down
-        found = 0
-        for t in field.indices():
-            quotient = [coeffs[0]]
-            for c in coeffs[1:]:
-                quotient.append(add(mul(quotient[-1], t), c))
-            if quotient.pop() == 0:
-                found += 1 if depth == 1 else exact_chains(quotient, depth - 1)
-        return found
-
-    return sum(
-        exact_chains([1, *member, a0], r)
-        for member in members
-        for a0 in field.indices()
-    )
+    return _chains(spec.field, members, r)[0][r - 1]

@@ -102,8 +102,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def eval(self, point):

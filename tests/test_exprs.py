@@ -1,15 +1,23 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuesets.errors import ParseError, UnknownVariable
-from valuesets.exprs import MAX_DEPTH, coeff_variables, parse_poly_expr, symmetric_variables
+from valuesets.exprs import (
+    MAX_DEPTH,
+    MAX_TERM_PAIRS,
+    coeff_variables,
+    parse_poly_expr,
+    symmetric_variables,
+)
 from valuesets.ffield import field_new
 from valuesets.multipoly import MultiPoly
 
 F5 = field_new(5)
+F101 = field_new(101)
 
 VARS4 = coeff_variables(4)  # A3, A2, A1
 
@@ -87,6 +95,44 @@ def test_nesting_limit():
     assert (exc.value.line, exc.value.col) == (1, MAX_DEPTH + 1)
     with pytest.raises(ParseError):
         parse4("(" * 10_000 + "A3" + ")" * 10_000)
+
+
+def test_a_literal_past_the_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit + 700)
+    for text, col in ((f"A3 + {nines}", 6), (f"A3^{nines}", 4), (f"A3^\n{nines}", 1)):
+        with pytest.raises(ParseError) as exc:
+            parse4(text)
+        assert exc.value.col == col
+        assert str(exc.value).endswith(
+            f"an integer has at most {limit} digits, found {limit + 700} starting '999999999999'"
+        )
+
+
+def test_expansion_is_priced_before_multiplying():
+    # (A3 + A2 + A1 + 1)^k has up to comb(k + 3, 3) terms, so the squaring
+    # up to ^64 alone is priced above the limit, and nothing is multiplied
+    with pytest.raises(ParseError) as exc:
+        parse4("(A3 + A2 + A1 + 1)^3000")
+    assert (exc.value.line, exc.value.col) == (1, 19)
+    assert str(exc.value).endswith(f"expansion visits over {MAX_TERM_PAIRS} term pairs at '^'")
+    # a product is priced at its '*', and the pairs add up over the expression
+    # over F_101 no multinomial coefficient below the power 101 vanishes, so
+    # ^20 has all comb(23, 3) = 1 771 terms; it is priced at about 63 000 pairs
+    big = "(A3 + A2 + A1 + 1)^20"
+    assert len(parse4(big, F101).terms) == 1_771
+    with pytest.raises(ParseError) as exc:
+        parse4(f"{big} * {big}", F101)
+    assert exc.value.col == len(big) + 2
+    # the price is a bound: over F_5, ^20 = (A3^5 + A2^5 + A1^5 + 1)^4 has
+    # 20 terms and is cheap to expand, yet each copy is priced the same
+    parse4(" + ".join([big] * 10))
+    with pytest.raises(ParseError):
+        parse4(" + ".join([big] * 20))
+    # a power of one term visits one pair per step
+    assert parse4("A3^100").terms == {(100, 0, 0): 1}
+    assert parse4("(2*A3*A1)^1000000").total_degree == 2_000_000
+    assert parse4("(A3 + A2 + A1 + 1)^20") == parse4("(A3 + A2 + A1 + 1)^10") ** 2
 
 
 def test_a_long_run_of_minus_signs_parses():

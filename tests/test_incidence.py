@@ -19,6 +19,7 @@ from valuesets.incidence import (
 F4 = field_new(2, 2)
 F5 = field_new(5)
 F7 = field_new(7)
+F9 = field_new(3, 2)
 
 
 def constraint(text, field, d):
@@ -52,6 +53,7 @@ def test_distinct_matches_raw_enumeration():
 
 
 def test_hermite_matches_division_oracle():
+    # one kernel over both enumerators: the direct walk and the filter agree
     for spec, rs in [
         (spec_a2_f5(), (1, 2, 3)),
         (quad_spec(F5, 4), (1, 2, 3)),
@@ -60,6 +62,36 @@ def test_hermite_matches_division_oracle():
         star, coinc = hermite_profile(spec, max(rs))
         for r in rs:
             assert star[r - 1] == count_hermite_tuples_oracle(spec, r), (spec, r)
+
+
+def rowless(field):
+    """A copy of field whose `rows` raises; its methods never read rows."""
+
+    class Rowless(type(field)):
+        def rows(self):
+            raise AssertionError("the lookup rows were read")
+
+    fresh = object.__new__(Rowless)
+    fresh.__dict__.update(vars(field), _rows=None)
+    return fresh
+
+
+def test_no_oracle_reads_the_lookup_rows():
+    # the scan reads `Field.rows()`; every oracle recounts it on the `Field`
+    # methods alone, so they all run on a field whose rows raise
+    for field in (F7, F9):
+        scan = scan_family(quad_spec(field, 4))
+        spec = quad_spec(rowless(field), 4)
+        with pytest.raises(AssertionError, match="lookup rows"):
+            scan_family(spec)
+        r_max = min(spec.d, 3)
+        star, coinc = hermite_profile(spec, r_max)
+        for r in range(1, r_max + 1):
+            assert star[r - 1] == scan.hermite_count(r), (field, r)
+            assert coinc[r - 1] == scan.coincident_count(r), (field, r)
+            assert count_hermite_tuples_oracle(spec, r) == scan.hermite_count(r)
+            assert count_distinct_tuples_oracle(spec, r) == scan.distinct_tuple_count(r)
+            assert count_interpolating_sets_direct(spec, r) == scan.interpolating_count(r)
 
 
 def test_subtraction_identity_and_collect():

@@ -11,10 +11,11 @@ methods and `UniPoly`:
 - the scan's hermite and coincident counts against the prefix DFS
   (`hermite_profile`) for r <= d, and slice scans merged against the full
   scan, and worker-pool scans at 2 and 3 workers against the serial scan;
-- the prefix DFS against the division oracle, and the division oracle's
-  quotient chains against reducing f + a_0 modulo the node product and
-  against the scan's hermite counts, for r <= 3 wherever the oracle's cost
-  fits its budget;
+- the prefix DFS against the division oracle, which run one kernel over
+  `enumerate_family` and over the candidate filter (so this checks that
+  the two enumerators agree), and the division oracle's quotient chains
+  against reducing f + a_0 modulo the node product and against the scan's
+  hermite counts, for r <= 3 wherever the oracle's cost fits its budget;
 - the literal S_r and distinct-tuple oracles against per-tuple Horner
   loops and against the scan's S_r and distinct counts, for r <= 3
   wherever the oracle's price fits the budget;
@@ -190,6 +191,7 @@ def test_worker_scans_equal_serial_scan(spec):
 @settings(max_examples=60, deadline=None)
 @given(any_families)
 def test_prefix_dfs_matches_division_oracle(spec):
+    # one kernel over both enumerators: the direct walk and the filter agree
     q = spec.field.q
     members = scan_family(spec).member_count
     star, _ = hermite_profile(spec, 3)

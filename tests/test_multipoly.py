@@ -67,6 +67,24 @@ def test_pow_matches_repeated_mul():
         acc = acc * g
 
 
+def test_pow_makes_no_unused_square(monkeypatch):
+    # square-and-multiply: one product per bit below the top, plus one per
+    # set bit; the square after the top bit is never read, so it is not made
+    g = var(F7, 2, 0) + var(F7, 2, 1)
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    for n, want in ((1, 1), (2, 2), (3, 3), (32, 6)):
+        products.clear()
+        g**n
+        assert len(products) == want, n
+
+
 def test_highest_form():
     a3, a2, a1 = (var(F5, 3, i) for i in range(3))
     assert (a3**2 + a2).highest_form() == a3**2
