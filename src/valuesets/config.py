@@ -16,7 +16,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .diagnostics import DEFAULT_EXTENSION_DEGREES, POINT_BUDGET
 from .errors import ParseError, ValidationError, shown
 from .exprs import (
     coeff_variables,
@@ -25,9 +24,18 @@ from .exprs import (
 )
 from .families import FamilySpec, linear_family, symmetric_family
 from .ffield import field_new
-from .incidence import DEFAULT_ORACLE_BUDGET
 
 _KINDS = ("linear", "symmetric", "custom")
+
+# Work ceiling for the oracles; an oracle priced above it is skipped.
+DEFAULT_ORACLE_BUDGET = 5_000_000
+
+# Extension degrees k checked when a run names none: F_q and F_(q^2).
+DEFAULT_EXTENSION_DEGREES = (1, 2)
+
+# Candidate-point ceiling for the diagnostics' extension scans; Q^(d-1)
+# above this skips k.
+POINT_BUDGET = 300_000
 
 
 @dataclass
@@ -182,6 +190,16 @@ def validate_config(config: ExperimentConfig) -> None:
     r_max = config.effective_r_max
     if not 1 <= r_max <= config.d:
         raise ValidationError(f"1 <= r_max <= d required (r_max={r_max}, d={config.d})")
+    if config.modulus is not None:
+        # checked at every s, though only s > 1 reads it; a monic linear
+        # modulus is irreducible, and `field_new` tests the others
+        key = _key_of("modulus")
+        if len(config.modulus) != config.s + 1:
+            raise ValidationError(
+                f"{key} has {len(config.modulus)} coefficients, expected s+1 = {config.s + 1}"
+            )
+        if config.modulus[-1] % config.p != 1:  # q > d >= r_max >= 1, so p != 0
+            raise ValidationError(f"{key} must be monic")
     if config.workers < 1:
         raise ValidationError(f"workers >= 1 required (workers={config.workers})")
     if config.oracle_budget < 0:

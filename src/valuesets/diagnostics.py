@@ -43,20 +43,16 @@ from fractions import Fraction
 from math import prod
 
 from .bounds import family_size_bracket
+from .config import DEFAULT_EXTENSION_DEGREES, POINT_BUDGET
 from .families import FamilySpec, enumerate_family
 from .ffield import embedding_table, field_new
 from .linalg import rank
 from .multipoly import MultiPoly
+from .report import format_count
 
 PASS = "pass-necessary-conditions"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-
-# Candidate-point ceiling for extension scans; Q^(d-1) above this skips k.
-POINT_BUDGET = 300_000
-
-# Extension degrees k checked when a run names none: F_q and F_(q^2).
-DEFAULT_EXTENSION_DEGREES = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,14 @@ class DiagnosticReport:
     witness: tuple | None = None
 
     def render(self) -> str:
+        """The verdict line, then one line per evidence key; an int or
+        Fraction past 10^15 prints in `report.format_count`'s log10 form."""
         lines = [f"[{self.check}] {self.status}: {self.text}"]
         for key in sorted(self.evidence):
-            lines.append(f"    {key} = {self.evidence[key]}")
+            value = self.evidence[key]
+            if isinstance(value, (int, Fraction)):
+                value = format_count(value)
+            lines.append(f"    {key} = {value}")
         if self.witness is not None:
             lines.append(f"    witness = {self.witness}")
         return "\n".join(lines)
@@ -167,7 +168,7 @@ def _regularity_report(label, spec, extension_degrees):
         if not rank_ok and fail_reason is None:
             fail_reason = (
                 f"{deficient} of {points} points at Q={big_q} have Jacobian rank "
-                f"< {m}, above the allowance {allowed}"
+                f"< {m}, above the allowance {format_count(allowed)}"
             )
             witness = first_bad
         bracket = family_size_bracket(d, m, spec.degrees, big_q)
@@ -178,12 +179,13 @@ def _regularity_report(label, spec, extension_degrees):
             )
             continue
         in_bracket = bracket.lower < points <= bracket.upper
-        evidence[f"k{k}.bracket"] = f"({bracket.lower}, {bracket.upper}]"
+        shown_bracket = f"({format_count(bracket.lower)}, {format_count(bracket.upper)}]"
+        evidence[f"k{k}.bracket"] = shown_bracket
         evidence[f"k{k}.bracket_ok"] = in_bracket
         if not in_bracket and fail_reason is None:
             fail_reason = (
                 f"point count {points} at Q={big_q} falls outside the size "
-                f"bracket ({bracket.lower}, {bracket.upper}]"
+                f"bracket {shown_bracket}"
             )
             witness = (points,)
         if rank_ok and in_bracket:
@@ -278,11 +280,14 @@ def check_discriminant_loci(spec: FamilySpec, scan) -> DiagnosticReport:
         status, witness = FAIL, witness1
         text = (
             f"repeated-root pairs N1={n1} reach full dimension "
-            f"(threshold {fail_n1} out of {members * q} pairs)"
+            f"(threshold {format_count(fail_n1)} out of {members * q} pairs)"
         )
     elif n2 >= fail_n2:
         status, witness = FAIL, witness2
-        text = f"higher-multiplicity pairs N2={n2} reach codimension one (threshold {fail_n2})"
+        text = (
+            f"higher-multiplicity pairs N2={n2} reach codimension one "
+            f"(threshold {format_count(fail_n2)})"
+        )
     elif n1 <= pass_n1 and n2 <= pass_n2:
         status = PASS
         text = (
@@ -293,7 +298,7 @@ def check_discriminant_loci(spec: FamilySpec, scan) -> DiagnosticReport:
         status = INCONCLUSIVE
         text = (
             f"N1={n1}, N2={n2} sit between the pass allowances "
-            f"({pass_n1}, {pass_n2}) and the fail thresholds"
+            f"({format_count(pass_n1)}, {format_count(pass_n2)}) and the fail thresholds"
         )
     # the fail thresholds are evidence for a nonempty family, the pass ones unless it fails
     if members:

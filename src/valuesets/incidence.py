@@ -54,10 +54,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, perm
 
+from .config import DEFAULT_ORACLE_BUDGET
 from .errors import BudgetExceeded, IdentityViolation, ParameterRange
 from .families import enumerate_family, family_cardinality, filter_family
-
-DEFAULT_ORACLE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)

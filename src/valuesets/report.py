@@ -4,7 +4,8 @@ Numbers follow three fixed rules so reruns are byte-identical:
 
 - rationals print as exact num/den pairs plus a 12-significant-digit decimal
   rounded half-even;
-- plain counts print as integers until 10^15, then as "log10=x.xxxx";
+- plain counts and exact evidence numbers (ints and Fractions) print as
+  themselves until 10^15, then as "log10=x.xxxx";
 - log-space magnitudes (the headline allowances) print the same way from
   their stored logarithm.
 
@@ -33,9 +34,11 @@ def format_rational(x) -> str:
     return str(_CTX.divide(Decimal(frac.numerator), Decimal(frac.denominator)))
 
 
-def format_count(n: int) -> str:
+def format_count(n) -> str:
+    """An int or Fraction as itself, or as its log10 past 10^15; the log is
+    taken of numerator and denominator apart, which no float overflows."""
     if abs(n) > _BIG:
-        return f"log10={log10(n):.4f}"
+        return f"log10={log10(n.numerator) - log10(n.denominator):.4f}"
     return str(n)
 
 

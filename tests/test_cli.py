@@ -688,6 +688,24 @@ def test_main_rejects_an_extension_degree_below_one(tmp_path, capsys, s):
     assert capsys.readouterr().err == f"config error: s >= 1 required (s={s})\n"
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("p = 11\nmodulus = 3, 2", "field.modulus must be monic"),
+        ("p = 11\nmodulus = 1, 2, 3", "field.modulus has 3 coefficients, expected s+1 = 2"),
+        ("p = 3\ns = 2\nmodulus = 1, 2, 3, 1",
+         "field.modulus has 4 coefficients, expected s+1 = 3"),
+    ],
+    ids=["not-monic", "three-coefficients", "four-at-s2"],
+)
+def test_main_rejects_a_bad_modulus_at_every_s(tmp_path, capsys, field, message):
+    # at s = 1 the modulus was never read, so a bad one was ignored with exit 0
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(LINEAR_Q11.replace("p = 11", field), encoding="utf-8")
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_main_builds_the_family_twice(tmp_path, monkeypatch, capsys):
     # once when the config is parsed, once when the run starts; checking the
     # flags builds nothing
@@ -721,6 +739,21 @@ def test_main_family_build_errors_exit_2(tmp_path, capsys, old, new, message):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_main_runs_a_form_of_huge_degree(tmp_path, capsys):
+    # the degree enters the evidence squared: 8 000-digit constants once
+    # ended the run in a ValueError from str() past Python's digit limit
+    cfg_path = tmp_path / "huge-degree.cfg"
+    cfg_path.write_text(
+        LINEAR_Q11.replace("kind = linear", "kind = custom")
+        .replace("forms = A3", "forms = A3^" + "9" * 4000),
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "    constant = log10=8000.0000" in out.splitlines()
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--summary"])

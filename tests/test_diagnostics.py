@@ -8,6 +8,7 @@ from valuesets.diagnostics import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    DiagnosticReport,
     check_discriminant_loci,
     check_regularity,
     check_regularity_at_infinity,
@@ -290,3 +291,18 @@ def test_run_all_order_and_pass_texts():
             assert "necessary conditions only" in rep.text
         text = rep.render()
         assert text.startswith(f"[{rep.check}] {rep.status}")
+
+
+def test_render_prints_huge_evidence_in_log10_form():
+    # a form of huge degree puts 8 000-digit constants in the evidence, which
+    # str() refuses past Python's digit limit
+    evidence = {"int": 10**5000, "frac": Fraction(10**5000, 3),
+                "small": Fraction(1331, 2), "flag": True, "note": "threshold unmet"}
+    lines = DiagnosticReport("x", PASS, "t", evidence).render().splitlines()
+    assert lines[1:] == [
+        "    flag = True",
+        "    frac = log10=4999.5229",
+        "    int = log10=5000.0000",
+        "    note = threshold unmet",
+        "    small = 1331/2",
+    ]

@@ -32,6 +32,13 @@ def test_count_rendering_switches_to_log_form():
     assert format_count(10**16) == "log10=16.0000"
 
 
+def test_count_rendering_takes_fractions_past_the_float_range():
+    # float() overflows on these, and str() on the int past the digit limit
+    assert format_count(10**5000) == "log10=5000.0000"
+    assert format_count(Fraction(10**5000, 3)) == "log10=4999.5229"
+    assert format_count(Fraction(1331, 2)) == "1331/2"
+
+
 def test_magnitude_rendering():
     small = LogMagnitude(math.log(1000))
     assert float(format_magnitude(small)) == 1000.0

@@ -1,7 +1,8 @@
 """The package promises a stdlib-only runtime: every absolute import in
 src/valuesets names a standard-library module.  Its public surface is
-`valuesets.__all__`, and every name listed there resolves.  Importing the
-CLI loads no process-pool module."""
+`valuesets.__all__`, and every name listed there resolves.  Each import
+loads only what it uses, checked in a fresh interpreter: `import valuesets`
+loads no submodule, the config parser six, and the CLI no process pool."""
 
 import ast
 import os
@@ -13,7 +14,8 @@ import pytest
 
 import valuesets
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "valuesets"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "valuesets"
 
 
 def _absolute_imports(path):
@@ -41,16 +43,65 @@ def test_all_names_resolve():
     assert len(set(valuesets.__all__)) == len(valuesets.__all__)
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # only a run with workers > 1 starts a pool; the rest never pay its import
-    code = (
-        "import sys, valuesets.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
+def _loaded(code):
+    """The modules a fresh interpreter holds after running `code`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sorted(sys.modules))"],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def _ours(modules):
+    return {m for m in modules if m.startswith("valuesets.")}
+
+
+def _pool(modules):
+    return {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a run with workers > 1 starts a pool; the rest never pay its import
+    assert not _pool(_loaded("import valuesets.cli"))
+
+
+def test_package_import_loads_no_submodule():
+    assert not _ours(_loaded("import valuesets"))
+
+
+def test_parse_config_loads_only_the_parser():
+    loaded = _loaded(
+        "from pathlib import Path\n"
+        "from valuesets.config import parse_config\n"
+        "for path in sorted(Path('configs').glob('*.cfg')):\n"
+        "    parse_config(path.read_text(encoding='utf-8'))"
+    )
+    assert _ours(loaded) == {
+        f"valuesets.{name}" for name in ("config", "errors", "exprs", "families", "ffield", "multipoly")
+    }
+    assert not loaded & {"fractions", "decimal"}
+
+
+def test_a_run_loads_no_unipoly_and_no_pool():
+    # the run prints its summary first; the module list is the last line
+    loaded = _loaded(
+        "from valuesets.cli import main\n"
+        "assert main(['run', 'configs/linear_q11_d4.cfg']) == 0"
+    )
+    assert "valuesets.unipoly" not in loaded
+    assert not _pool(loaded)
+
+
+def test_names_resolve_on_first_use():
+    code = (
+        "import valuesets\n"
+        "assert callable(valuesets.engine.scan_family)\n"
+        "for name in valuesets.__all__:\n"
+        "    getattr(valuesets, name)\n"
+        "assert valuesets.scan_family is valuesets.engine.scan_family\n"
+        "assert set(valuesets.__all__) <= set(dir(valuesets))\n"
+        "assert not hasattr(valuesets, 'no_such_name')"
+    )
+    assert "valuesets.unipoly" in _loaded(code)
