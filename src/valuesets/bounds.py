@@ -23,7 +23,6 @@ Arithmetic policy, in order of preference:
   budget for comparisons.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, isqrt, log, log1p, perm, sqrt
 
@@ -78,11 +77,13 @@ def size_threshold_ok(degrees, q):
     return q > expr
 
 
-@dataclass(frozen=True)
 class FamilySizeBracket:
-    lower: Fraction  # strict lower bound q**e / 2, q**e the main term
-    upper: int  # inclusive upper bound, floored conservatively
-    threshold_ok: bool
+    __slots__ = ("lower", "upper", "threshold_ok")
+
+    def __init__(self, lower, upper, threshold_ok):
+        self.lower = lower  # strict lower bound q**e / 2, q**e the main term
+        self.upper = upper  # inclusive upper bound, floored conservatively
+        self.threshold_ok = threshold_ok
 
 
 def family_size_bracket(d, m, degrees, q, inclusive=False):
@@ -192,13 +193,15 @@ def average_bound_applicable(d, m, degrees, q):
 # --- growth profile of the bound's combinatorial terms ------------------------
 
 
-@dataclass(frozen=True)
 class TermProfile:
-    values: tuple  # h(k) = C(d,k)^2 * (d-k)! for k = 0..d-1
-    peak_index: int  # floor(-1/2 + sqrt(5+4d)/2)
-    unimodal: bool  # nondecreasing then nonincreasing, max at peak_index
-    total: int
-    chain_bound: int  # d * h(peak_index), an upper bound for total
+    __slots__ = ("values", "peak_index", "unimodal", "total", "chain_bound")
+
+    def __init__(self, values, peak_index, unimodal, total, chain_bound):
+        self.values = values  # h(k) = C(d,k)^2 * (d-k)! for k = 0..d-1
+        self.peak_index = peak_index  # floor(-1/2 + sqrt(5+4d)/2)
+        self.unimodal = unimodal  # nondecreasing then nonincreasing, max at peak_index
+        self.total = total
+        self.chain_bound = chain_bound  # d * h(peak_index), an upper bound for total
 
 
 def value_set_term_profile(d):

@@ -12,18 +12,18 @@ summary.  The oracles all come from `incidence`.  `--seed-check` is one
 run of this pipeline on a built-in graph family over F_5 at the default
 oracle budget, so the DFS and every literal oracle check it.
 
-Worker processes only return partial sums; the coordinator merges them in
-slice order, so results are identical for any worker count.  `workers` sets
-the number of slices, at most one per index the enumerator walks and at
-most four per pool process; the pool holds at most one process per slice
-and per CPU.  A family walked directly has q^(free) members, and the run
-checks the scan's member count against it.
+Worker processes only return partial sums; the caller merges them in slice
+order, so results are identical for any worker count.  `workers` sets the
+number of slices, at most one per index the enumerator walks and at most
+four per process; a run uses at most one process per slice and per CPU,
+the caller among them, and forks the others (`ProcessPoolExecutor`).  A
+family walked directly has q^(free) members, and the run checks the
+scan's member count against it.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -35,7 +35,7 @@ from .bounds import (
     average_error_bound,
     interp_count_error_bound,
 )
-from .config import ExperimentConfig, build_family, parse_config, validate_config
+from .config import _KEYS, ExperimentConfig, build_family, parse_config, validate_config
 from .diagnostics import run_all
 from .engine import ScanResult, generic_density, scan_family
 from .errors import BudgetExceeded, EmptyFamily, IdentityViolation
@@ -57,11 +57,84 @@ from .report import (
 )
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """The process pool, imported only by a run that starts one."""
-    from concurrent.futures import ProcessPoolExecutor as pool
+class ProcessPoolExecutor:
+    """Forked workers for `map`, in job order.
 
-    return pool(*args, **kwargs)
+    With P = max_workers, the caller runs jobs 0, P, 2P, ...; P - 1 forked
+    children run the others, child i the jobs i, i + P, ..., and each sends
+    its results back pickled through a pipe.  A child's exception is raised
+    again in the caller.  Every child is waited for, and killed if the
+    caller fails; children leave with `os._exit`.  Without `os.fork` every
+    job runs in the caller.
+    """
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        procs = min(self.max_workers, len(jobs)) if hasattr(os, "fork") else 1
+        if procs <= 1:
+            return [fn(job) for job in jobs]
+        import pickle
+
+        results = [None] * len(jobs)
+        children = []  # (pid, read end of its pipe, its first job)
+        try:
+            for first in range(1, procs):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:  # pragma: no cover - runs in the child
+                    os.close(read)
+                    try:
+                        try:
+                            out = True, [fn(job) for job in jobs[first::procs]]
+                        except BaseException as exc:
+                            out = False, exc
+                        try:
+                            data = pickle.dumps(out)
+                        except Exception as exc:
+                            data = pickle.dumps((False, RuntimeError(f"unpicklable result: {exc!r}")))
+                        with os.fdopen(write, "wb") as pipe:
+                            pipe.write(data)
+                    finally:
+                        os._exit(0)
+                os.close(write)
+                children.append((pid, read, first))
+            results[0::procs] = [fn(job) for job in jobs[0::procs]]
+            for pid, read, first in children:
+                with os.fdopen(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                if not data:
+                    raise RuntimeError(f"worker {pid} exited without a result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results[first::procs] = value
+        except BaseException:
+            import signal
+
+            # a child that has exited stays a zombie until it is waited
+            # for below, so its pid is still its own
+            for pid, _, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, read, _ in children:
+                os.close(read)
+                os.waitpid(pid, 0)
+        return results
 
 
 def _scan_slice(args):
@@ -70,8 +143,9 @@ def _scan_slice(args):
     return scan_family(spec, index_range)
 
 
-# slices cut per pool process, at most; each slice is a pickled spec and a
-# pool task, so beyond a few per process they cost more than they balance
+# slices cut per process, at most; each slice is one scan with its own class
+# cache and one pickled result, so beyond a few per process they cost more
+# than they balance
 SLICES_PER_PROCESS = 4
 
 
@@ -328,7 +402,7 @@ def main(argv=None) -> int:
             return rc
     try:
         config = parse_config(Path(args.config_path).read_text(encoding="utf-8"))
-        fields = {f.name for f in dataclasses.fields(config)}
+        fields = {name for name, _, _ in _KEYS.values()}
         for name, value in vars(args).items():
             if name in fields and value is not None:
                 setattr(config, name, value)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError, shown
 from .exprs import (
@@ -38,23 +37,33 @@ DEFAULT_EXTENSION_DEGREES = (1, 2)
 POINT_BUDGET = 300_000
 
 
-@dataclass
 class ExperimentConfig:
-    p: int
-    s: int = 1
-    modulus: tuple | None = None
-    kind: str = "custom"
-    d: int = 0
-    m: int = 0
-    forms: tuple = ()
-    s_count: int | None = None
-    shapes: tuple = ()
-    r_max: int | None = None
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET
-    diag_extensions: tuple = DEFAULT_EXTENSION_DEGREES
-    workers: int = 1
-    csv_path: str | None = None
-    summary_path: str | None = None
+    """The settings of one run; `_KEYS` maps each config key to its field."""
+
+    __slots__ = (
+        "p", "s", "modulus", "kind", "d", "m", "forms", "s_count", "shapes", "r_max",
+        "oracle_budget", "diag_extensions", "workers", "csv_path", "summary_path",
+    )
+
+    def __init__(self, p, s=1, modulus=None, kind="custom", d=0, m=0, forms=(),
+                 s_count=None, shapes=(), r_max=None, oracle_budget=DEFAULT_ORACLE_BUDGET,
+                 diag_extensions=DEFAULT_EXTENSION_DEGREES, workers=1, csv_path=None,
+                 summary_path=None):
+        self.p = p
+        self.s = s
+        self.modulus = modulus
+        self.kind = kind
+        self.d = d
+        self.m = m
+        self.forms = forms
+        self.s_count = s_count
+        self.shapes = shapes
+        self.r_max = r_max
+        self.oracle_budget = oracle_budget
+        self.diag_extensions = diag_extensions
+        self.workers = workers
+        self.csv_path = csv_path
+        self.summary_path = summary_path
 
     @property
     def q(self) -> int:

@@ -28,7 +28,7 @@ locus (chi(-a_0) is Res(f + a_0, f') up to a unit), and a gcd is needed
 only at a multiple root of chi, for the second.  When f' = 0 every shift
 lies in both loci; when f' is a nonzero constant none does.
 
-The scan visits one member per orbit of the symmetries the family admits,
+The scan walks one member per orbit of the symmetries the family admits,
 weighted by the orbit's size (`orbit_weigher`).  Frobenius a_k -> a_k^p
 applies when every constraint coefficient lies in F_p, as integer literals
 do, over F_{p^s} with s > 1; scaling a_k -> c^(d-k) a_k, f -> c^d f(T/c),
@@ -42,8 +42,21 @@ so the first orbit with a nonempty locus is scanned at the full scan's
 first member with one, and its least a_0 is the full scan's witness;
 `ScanResult.merge` keeps the earliest slice's witness.  When neither
 action applies, as over a prime field with a constant term in a
-constraint, every member is scanned (`scan_members`, the plain loop and
-the reference for the weighted one).
+constraint, every member is walked.
+
+Each walked member's kernels then run once per affine class.  The map
+f -> c^(-d) f(c(T + b)) + e, c != 0, permutes the points by T -> c(T + b)
+and the values by v -> c^(-d) v + e and keeps every repeated root, so
+V(f), the profile, the patterns, the loci and the f' = 0 pairs are the
+same for f and its image; only the witness is not.  `_affine_key` gives
+a normal form: the depressed member (when p does not divide d) with each
+coefficient moved to the least discrete log the scalings still allow.
+The first walked member of a class is scanned and its contribution
+counted for every later one, at most `CLASS_CACHE_MAX` classes per scan.
+All members of a class have the same loci, so the first member with a
+nonempty locus is the first of its class, and the witness is the one a
+scan of every member gives.  `scan_members` is that scan: the plain
+loop, and the reference for `scan_family`.
 
 `ScanResult` is the result: every aggregate is an exact big integer, and
 the average value-set size is the exact Fraction(sum_values, member_count).
@@ -52,7 +65,6 @@ literal S_r oracle among them, live in `incidence`.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm, perm
@@ -102,15 +114,14 @@ def _root_multiplicity(add, mc, coeffs):
     return e
 
 
-def _member_histogram(field, a_desc, profile, patterns, weight=1):
+def _member_histogram(field, a_desc, profile, patterns):
     """Accumulate one member's root-count histogram into profile.
 
     a_desc is (a_{d-1}, ..., a_1).  hist[v] counts c with f(c) = v, which
     is the root count of f + a_0 at a_0 = -v; adds the histogram's
-    n-distribution, times `weight`, into profile[n] and returns
-    V(f) = #nonzero entries.  Each pair (f, a_0) with a multiple root adds
-    `weight` to patterns[key], key the sorted multiplicities of all
-    F_q-roots of f + a_0.
+    n-distribution into profile[n] and returns V(f) = #nonzero entries.
+    Each pair (f, a_0) with a multiple root adds 1 to patterns[key], key
+    the sorted multiplicities of all F_q-roots of f + a_0.
     """
     add, mul, neg, _ = field.rows()
     hist = [0] * field.q
@@ -131,22 +142,21 @@ def _member_histogram(field, a_desc, profile, patterns, weight=1):
             multiple.setdefault(v, []).append(_root_multiplicity(add, mc, coeffs))
     vf = 0
     for n in hist:
-        profile[n] += weight
+        profile[n] += 1
         if n:
             vf += 1
     for v, mults in multiple.items():
-        patterns[tuple(sorted(mults + [1] * (hist[v] - len(mults))))] += weight
+        patterns[tuple(sorted(mults + [1] * (hist[v] - len(mults))))] += 1
     return vf
 
 
-def _repeated_root_profile(field, a_desc, loci, witnesses, weight=1):
+def _repeated_root_profile(field, a_desc, loci, witnesses):
     """Accumulate one member's repeated-root pairs.
 
     a_desc is (a_{d-1}, ..., a_1).  Adds to loci[0] resp. loci[1] the
     shifts a_0 with deg gcd(f + a_0, f') >= 1 resp. >= 2, and q to loci[2]
-    when f' vanishes identically, each times `weight`; an empty
-    witnesses[i] takes (*a_desc, a_0) for the smallest a_0 counted in
-    loci[i].
+    when f' vanishes identically; an empty witnesses[i] takes
+    (*a_desc, a_0) for the smallest a_0 counted in loci[i].
 
     With e = deg f' >= 1 and r = f mod f', deg gcd(f + a_0, f') is the
     dimension of the kernel of M_r + a_0, M_r the matrix of multiplication
@@ -166,7 +176,7 @@ def _repeated_root_profile(field, a_desc, loci, witnesses, weight=1):
         deriv.pop()
     if not deriv:
         for i in range(3):
-            loci[i] += field.q * weight
+            loci[i] += field.q
         for i in range(2):
             if witnesses[i] is None:
                 witnesses[i] = (*a_desc, 0)
@@ -201,7 +211,7 @@ def _repeated_root_profile(field, a_desc, loci, witnesses, weight=1):
         f[0] = a0
         g = 1 if der else _gcd_degree(rows, f, deriv)
         for i in range(min(g, 2)):
-            loci[i] += weight
+            loci[i] += 1
             if witnesses[i] is None:
                 witnesses[i] = (*a_desc, a0)
 
@@ -313,20 +323,39 @@ def _hermite_tuples(pattern, r):
     return words[r]
 
 
-@dataclass
 class ScanResult:
-    """Additive partial result of a family scan over one index slice."""
+    """Additive partial result of a family scan over one index slice.
 
-    d: int
-    member_count: int
-    sum_values: int
-    profile: list  # profile[n] = #(member, a_0) pairs with n roots, n = 0..d
-    # sorted root multiplicities -> #(member, a_0) pairs with a multiple root
-    patterns: Counter = dataclass_field(default_factory=Counter)
-    # #(member, a_0) pairs with deg gcd(f + a_0, f') >= 1, >= 2, f' = 0
-    loci: list = dataclass_field(default_factory=lambda: [0, 0, 0])
-    # first (a_{d-1}, ..., a_1, a_0) in the first two loci, in member order
-    witnesses: list = dataclass_field(default_factory=lambda: [None, None])
+    profile[n] counts the (member, a_0) pairs with n roots, n = 0..d;
+    patterns maps sorted root multiplicities to the pairs with a multiple
+    root; loci counts the pairs with deg gcd(f + a_0, f') >= 1, >= 2 and
+    those with f' = 0; witnesses holds the first (a_{d-1}, ..., a_1, a_0)
+    in the first two loci, in member order.
+    """
+
+    __slots__ = ("d", "member_count", "sum_values", "profile", "patterns", "loci", "witnesses")
+
+    def __init__(self, d, member_count, sum_values, profile, patterns=None, loci=None,
+                 witnesses=None):
+        self.d = d
+        self.member_count = member_count
+        self.sum_values = sum_values
+        self.profile = profile
+        self.patterns = Counter() if patterns is None else patterns
+        self.loci = [0, 0, 0] if loci is None else loci
+        self.witnesses = [None, None] if witnesses is None else witnesses
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"ScanResult({args})"
 
     @classmethod
     def empty(cls, d):
@@ -386,6 +415,27 @@ class ScanResult:
         )
 
 
+def _discrete_log(field):
+    """log[x] with x = g^log[x] for every x != 0, g the first generator of
+    F_q^* in index order; log[0] = 0."""
+    n = field.q - 1
+    mul = field.rows()[1]
+    for g in range(1, field.q):
+        powers = [1]
+        while mul[g][powers[-1]] != 1:
+            powers.append(mul[g][powers[-1]])
+        if len(powers) == n:
+            break
+    log = [0] * field.q
+    for e, x in enumerate(powers):
+        log[x] = e
+    return log
+
+
+def _divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
 class _Scaling:
     """Lex-least points of the orbits of F_q^* acting by c . a_k = c^w a_k
     on tuples whose coordinates have the weights w in `weights`.
@@ -403,18 +453,9 @@ class _Scaling:
 
     def __init__(self, field, weights):
         n = self.order = field.q - 1
-        mul = field.rows()[1]
-        for g in range(2, field.q):  # the first generator of F_q^*
-            powers = [1]
-            while mul[g][powers[-1]] != 1:
-                powers.append(mul[g][powers[-1]])
-            if len(powers) == n:
-                break
-        self.log = log = [0] * field.q
-        for e, x in enumerate(powers):
-            log[x] = e
+        self.log = log = _discrete_log(field)
         self.least = {}
-        for delta in (k for k in range(1, n + 1) if n % k == 0):
+        for delta in _divisors(n):
             least = [0] * delta
             for x in range(1, field.q):
                 if not least[log[x] % delta]:
@@ -483,33 +524,133 @@ def orbit_weigher(spec):
     return weigh
 
 
+def _affine_key(field, d):
+    """The affine normal form of members (a_{d-1}, ..., a_1) of degree d:
+    two members with equal keys are images of each other under
+    f -> c^(-d) f(c(T + b)) + e, with c != 0.
+
+    When p does not divide d, T -> T + b with b = -a_{d-1}/d depresses f
+    (the shift is a Taylor shift on the lookup rows, and e drops the new
+    constant term), so the key reads a_{d-2}, ..., a_1 of the depressed
+    member; when p | d no shift moves a_{d-1}, and the key reads the whole
+    member, so only scalings are found.  Scaling by c moves a_k by c^(d-k):
+    the walk of `_Scaling`, but each nonzero coordinate is moved to the
+    least log its coset still allows, and the shift that does so is kept
+    for the coordinates after it.  The key is that image, each coordinate
+    as 1 + its log, or 0.  Equal keys mean the same orbit under the whole
+    affine group when p does not divide d, under scaling when p | d.
+    """
+    add, mul, neg, inv = field.rows()
+    n = field.q - 1
+    log = _discrete_log(field)
+    minus_inv_d = mul[neg[inv[field.scalar(d)]]]
+    depress = d > 1 and field.scalar(d) != 0
+    weights = range(2, d) if depress else range(1, d)
+    # (step, w) -> (delta, unit, next step): fixing a coordinate of weight
+    # w at the least log of its coset changes the shift by k * unit, k the
+    # number of deltas its log lies above that least log
+    moves = {}
+    for step in _divisors(n):
+        for w in weights:
+            delta = gcd(step * w, n)
+            unit = step * pow(step * w // delta, -1, n // delta)
+            moves[step, w] = delta, unit, lcm(step, n // gcd(w, n))
+
+    def key(a):
+        if depress:
+            c = [1, *a, 0]  # descending; c[1] becomes 0
+            b = minus_inv_d[a[0]]
+            if b:
+                mb = mul[b]
+                for top in range(d, 1, -1):
+                    for j in range(1, top + 1):
+                        c[j] = add[c[j]][mb[c[j - 1]]]
+            a = c[2:d]
+        out = []
+        shift, step = 0, 1
+        for w, x in zip(weights, a):
+            if x:
+                delta, unit, step_next = moves[step, w]
+                k, least = divmod((log[x] + shift * w) % n, delta)
+                shift = (shift - k * unit) % n
+                step = step_next
+                out.append(least + 1)
+            else:
+                out.append(0)
+        return tuple(out)
+
+    return key
+
+
+# affine classes kept per scan, at most; a member of a class past the bound
+# is scanned and folded in, not stored
+CLASS_CACHE_MAX = 1 << 16
+
+
+def _contribution(field, d, member, witnesses):
+    """(V(f), profile, patterns, loci) of one member, by both kernels;
+    an empty slot of `witnesses` takes the member's first repeated-root
+    pair, as in `_repeated_root_profile`."""
+    profile, patterns, loci = [0] * (d + 1), Counter(), [0, 0, 0]
+    vf = _member_histogram(field, member, profile, patterns)
+    _repeated_root_profile(field, member, loci, witnesses)
+    return vf, profile, patterns, loci
+
+
+def _fold(result, contribution, weight):
+    """Add `weight` members of one contribution into result."""
+    vf, profile, patterns, loci = contribution
+    result.member_count += weight
+    result.sum_values += weight * vf
+    for n, cnt in enumerate(profile):
+        result.profile[n] += weight * cnt
+    for key, cnt in patterns.items():
+        result.patterns[key] += weight * cnt
+    for i, cnt in enumerate(loci):
+        result.loci[i] += weight * cnt
+
+
 def scan_family(spec, partition=None):
     """One pass over (a slice of) the family collecting the histogram sums,
     the multiplicity patterns and the repeated-root loci.
 
     Where a symmetry applies (`orbit_weigher`), only the lex-least member
-    of each orbit is scanned, counted |orbit| times; otherwise every
-    member is, as in `scan_members`.
+    of each orbit is walked, counted |orbit| times; otherwise every member
+    is.  The kernels run once per affine class (`_affine_key`), on its
+    first walked member, and their contribution is counted for every
+    member of the class.  Every member of a class has the same loci, so
+    the first member with a nonempty locus is the first of its class and
+    is scanned: the witnesses are those of `scan_members`, the reference.
     """
     weigh = orbit_weigher(spec)
     if weigh is None:
-        return scan_members(spec, partition)
-    return _scan(spec, enumerate_family(spec, partition, weigh))
+        weighted = zip(enumerate_family(spec, partition), repeat(1))
+    else:
+        weighted = enumerate_family(spec, partition, weigh)
+    result = ScanResult.empty(spec.d)
+    field, d = spec.field, spec.d
+    key_of = _affine_key(field, d)
+    classes = {}  # affine key -> [contribution, summed weight]
+    for member, weight in weighted:
+        key = key_of(member)
+        entry = classes.get(key)
+        if entry is not None:
+            entry[1] += weight
+            continue
+        contribution = _contribution(field, d, member, result.witnesses)
+        if len(classes) < CLASS_CACHE_MAX:
+            classes[key] = [contribution, weight]
+        else:
+            _fold(result, contribution, weight)
+    for contribution, weight in classes.values():
+        _fold(result, contribution, weight)
+    return result
 
 
 def scan_members(spec, partition=None):
     """The scan of every member of (a slice of) the family, each once: the
-    plain loop, and the reference for the orbit-weighted scan."""
-    return _scan(spec, zip(enumerate_family(spec, partition), repeat(1)))
-
-
-def _scan(spec, weighted):
-    """Scan `(member, weight)` pairs, each member counted weight times."""
+    plain loop, and the reference for `scan_family`."""
     result = ScanResult.empty(spec.d)
-    field = spec.field
-    for member, weight in weighted:
-        result.member_count += weight
-        vf = _member_histogram(field, member, result.profile, result.patterns, weight)
-        result.sum_values += weight * vf
-        _repeated_root_profile(field, member, result.loci, result.witnesses, weight)
+    for member in enumerate_family(spec, partition):
+        _fold(result, _contribution(spec.field, spec.d, member, result.witnesses), 1)
     return result

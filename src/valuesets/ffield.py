@@ -145,9 +145,12 @@ class Field:
         raise NotImplementedError
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply; negative exponents go through the inverse."""
-        if e < 0:
-            a, e = self.inv(a), -e
+        """a^e by square-and-multiply.  A nonzero a has order dividing
+        q - 1, so its exponent is taken mod q - 1, a negative one included;
+        0^e is 1 at e = 0 and 0 otherwise."""
+        if a == 0:
+            return 0 if e else 1
+        e %= self.q - 1
         result = 1
         while e:
             if e & 1:
@@ -206,9 +209,9 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        return pow(a, e, self.p)
+        if a == 0:
+            return 0 if e else 1
+        return pow(a, e % (self.p - 1), self.p)
 
 
 class ExtensionField(Field):

@@ -49,7 +49,6 @@ finds the roots of each f + a_0 by testing every node, and counts the
 r-subsets resp. ordered r-tuples of distinct nodes that are all roots.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, perm
@@ -59,12 +58,14 @@ from .errors import BudgetExceeded, IdentityViolation, ParameterRange
 from .families import enumerate_family, family_cardinality, filter_family
 
 
-@dataclass(frozen=True)
 class IncidenceCounts:
-    r: int
-    distinct: int
-    hermite: int
-    coincident: int
+    __slots__ = ("r", "distinct", "hermite", "coincident")
+
+    def __init__(self, r, distinct, hermite, coincident):
+        self.r = r
+        self.distinct = distinct
+        self.hermite = hermite
+        self.coincident = coincident
 
 
 def _chains(field, members, r_max):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field as dc_field
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from math import exp, log10
@@ -59,12 +58,14 @@ def error_over_sqrt_q(deviation: Fraction, q: int) -> str:
     return str(+_CTX.create_decimal(_HIGH.divide(dev, root)))
 
 
-@dataclass
 class ExperimentReport:
     """One experiment run: a fixed-order CSV row plus summary payload."""
 
-    row: dict
-    summary_lines: list = dc_field(default_factory=list)
+    __slots__ = ("row", "summary_lines")
+
+    def __init__(self, row, summary_lines=None):
+        self.row = row
+        self.summary_lines = [] if summary_lines is None else summary_lines
 
     def to_csv(self) -> str:
         out = io.StringIO()

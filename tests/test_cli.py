@@ -1,9 +1,8 @@
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +14,7 @@ from valuesets import cli, engine
 from valuesets.bounds import average_error_bound
 from valuesets.cli import main, run_experiment
 from valuesets.config import build_family, parse_config
-from valuesets.engine import scan_family
+from valuesets.engine import ScanResult, scan_family
 from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import filter_family, linear_family, partition_ranges
@@ -200,6 +199,7 @@ def test_gather_caps_slices_per_pool_process(monkeypatch):
     # slices per pool process, not 2 197 pickled one-member tasks
     spec = build_family(parse_config(PINNED_Q13))
     cuts, sizes = [], []
+    forked_pool = cli.ProcessPoolExecutor
 
     def counted_ranges(total, parts):
         cuts.append(parts)
@@ -207,13 +207,67 @@ def test_gather_caps_slices_per_pool_process(monkeypatch):
 
     def sized_pool(max_workers):
         sizes.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return forked_pool(max_workers=max_workers)
 
     monkeypatch.setattr(cli, "partition_ranges", counted_ranges)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", sized_pool)
     assert cli._gather(spec, 20_000) == scan_family(spec)
     assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
     assert len(cuts) == 1 and 2 <= cuts[0] <= 4 * sizes[0]
+
+
+def _job_and_pid(job):
+    return job, os.getpid()
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_pool_returns_results_in_job_order():
+    # three processes: the caller runs jobs 0, 3, 6, 9, each child its share
+    with cli.ProcessPoolExecutor(max_workers=3) as pool:
+        results = pool.map(_job_and_pid, iter(range(10)))
+    assert [job for job, _ in results] == list(range(10))
+    pids = [pid for _, pid in results]
+    assert [job for job, pid in results if pid == os.getpid()] == [0, 3, 6, 9]
+    for first in (1, 2):
+        assert len(set(pids[first::3])) == 1 and pids[first] != os.getpid()
+    assert len(set(pids)) == 3
+    assert _no_children_left()
+
+
+def test_pool_raises_a_childs_exception_as_itself():
+    def job(n):
+        if n == 4:  # job 4 runs in the first child
+            raise UnknownVariable("job 4 failed", line=7)
+        return n
+
+    with pytest.raises(UnknownVariable, match="line 7: job 4 failed"):
+        cli.ProcessPoolExecutor(max_workers=3).map(job, range(6))
+    assert _no_children_left()
+
+
+def test_pool_kills_its_children_when_the_caller_fails():
+    def job(n):
+        if n == 0:  # the caller's first job
+            raise KeyError(n)
+        time.sleep(60)
+        return n
+
+    start = time.perf_counter()
+    with pytest.raises(KeyError):
+        cli.ProcessPoolExecutor(max_workers=3).map(job, range(3))
+    assert time.perf_counter() - start < 30
+    assert _no_children_left()
+
+
+def test_pool_runs_every_job_in_the_caller_without_fork(monkeypatch):
+    monkeypatch.delattr(cli.os, "fork")
+    results = cli.ProcessPoolExecutor(max_workers=4).map(_job_and_pid, range(5))
+    assert results == [(job, os.getpid()) for job in range(5)]
 
 
 def test_pinned_family_workers_balanced_and_identical():
@@ -282,7 +336,8 @@ def test_tampered_counts_abort_loudly():
     def bump(scan):
         profile = list(scan.profile)
         profile[1] += 1
-        return replace(scan, profile=profile)
+        return ScanResult(scan.d, scan.member_count, scan.sum_values, profile,
+                          scan.patterns, scan.loci, scan.witnesses)
 
     with pytest.raises(IdentityViolation):
         run_experiment(cfg, tamper_hook=bump)
@@ -293,7 +348,8 @@ def _bump_double_root_pattern(scan):
     # counts move at r = 2 only, the histogram not at all
     patterns = Counter(scan.patterns)
     patterns[(2,)] += 1
-    return replace(scan, patterns=patterns)
+    return ScanResult(scan.d, scan.member_count, scan.sum_values, scan.profile,
+                      patterns, scan.loci, scan.witnesses)
 
 
 def test_dfs_oracle_refused_at_budget_zero(monkeypatch):

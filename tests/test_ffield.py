@@ -225,6 +225,19 @@ def test_extension_pow_matches_repeated_mul():
             acc = f8.mul(acc, a)
 
 
+@pytest.mark.parametrize("p,s", AXIOM_FIELDS)
+def test_pow_takes_the_exponent_mod_q_minus_1(p, s):
+    # a nonzero base has order dividing q - 1; a 4 001-digit exponent costs
+    # no more than its residue
+    fld = field_new(p, s)
+    huge = 10**4000 + 7
+    for a in range(1, fld.q):
+        assert fld.pow(a, huge) == fld.pow(a, huge % (fld.q - 1))
+        assert fld.mul(fld.pow(a, -huge), fld.pow(a, huge)) == 1
+    assert fld.pow(0, huge) == fld.pow(0, -1) == 0
+    assert fld.pow(0, 0) == 1
+
+
 def test_negative_exponent():
     f7 = field_new(7)
     assert f7.pow(3, -1) == 5

@@ -2,7 +2,8 @@
 src/valuesets names a standard-library module.  Its public surface is
 `valuesets.__all__`, and every name listed there resolves.  Each import
 loads only what it uses, checked in a fresh interpreter: `import valuesets`
-loads no submodule, the config parser six, and the CLI no process pool."""
+loads no submodule, the config parser six, the CLI no process pool module
+(its workers are forked) and nothing loads `dataclasses` or `inspect`."""
 
 import ast
 import os
@@ -62,9 +63,15 @@ def _pool(modules):
     return {m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")}
 
 
+def _introspection(modules):
+    return modules & {"dataclasses", "inspect"}
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only a run with workers > 1 starts a pool; the rest never pay its import
-    assert not _pool(_loaded("import valuesets.cli"))
+    loaded = _loaded("import valuesets.cli")
+    assert not _pool(loaded)
+    assert not _introspection(loaded)
 
 
 def test_package_import_loads_no_submodule():
@@ -82,16 +89,28 @@ def test_parse_config_loads_only_the_parser():
         f"valuesets.{name}" for name in ("config", "errors", "exprs", "families", "ffield", "multipoly")
     }
     assert not loaded & {"fractions", "decimal"}
+    assert not _introspection(loaded)
+
+
+def _run_loads(*flags):
+    # the run prints its summary first; the module list is the last line
+    return _loaded(
+        "from valuesets.cli import main\n"
+        f"assert main(['run', 'configs/linear_q11_d4.cfg', *{list(flags)!r}]) == 0"
+    )
 
 
 def test_a_run_loads_no_unipoly_and_no_pool():
-    # the run prints its summary first; the module list is the last line
-    loaded = _loaded(
-        "from valuesets.cli import main\n"
-        "assert main(['run', 'configs/linear_q11_d4.cfg']) == 0"
-    )
+    loaded = _run_loads()
     assert "valuesets.unipoly" not in loaded
     assert not _pool(loaded)
+    assert not _introspection(loaded)
+
+
+def test_a_two_worker_run_loads_no_pool_module():
+    loaded = _run_loads("--workers", "2")
+    assert not _pool(loaded)
+    assert not _introspection(loaded)
 
 
 def test_names_resolve_on_first_use():
