@@ -226,6 +226,11 @@ def validate_config(config: ExperimentConfig) -> None:
     symmetric = config.kind == "symmetric"
     if symmetric and config.s_count is None:
         raise ValidationError(f"symmetric families require {_key_of('s_count')}")
+    if symmetric and not config.m <= config.s_count <= config.d - config.m - 4:
+        raise ValidationError(
+            f"{_key_of('s_count')} must satisfy m <= s_count <= d-m-4 "
+            f"(m={config.m}, s_count={shown(str(config.s_count))}, d={config.d})"
+        )
     noun = "shapes" if symmetric else "forms"
     if not config.exprs:
         raise ValidationError(f"{config.kind} families require {_key_of(noun)}")

@@ -28,35 +28,35 @@ locus (chi(-a_0) is Res(f + a_0, f') up to a unit), and a gcd is needed
 only at a multiple root of chi, for the second.  When f' = 0 every shift
 lies in both loci; when f' is a nonzero constant none does.
 
-The scan walks one member per orbit of the symmetries the family admits,
-weighted by the orbit's size (`orbit_weigher`).  Frobenius a_k -> a_k^p
-applies when every constraint coefficient lies in F_p, as integer literals
-do, over F_{p^s} with s > 1; scaling a_k -> c^(d-k) a_k, f -> c^d f(T/c),
-applies when every constraint is weighted homogeneous with
-weight(A_k) = d - k, and is the one used when both apply.  Each maps the
-family to itself and only permutes the
-shifts a_0 of a member, so V(f), the profile, the patterns, the loci and
-the f' = 0 pairs are the same at every member of an orbit.  The scanned
-member is the lex-least of its orbit, and members are walked in lex order,
-so the first orbit with a nonempty locus is scanned at the full scan's
-first member with one, and its least a_0 is the full scan's witness;
-`ScanResult.merge` keeps the earliest slice's witness.  When neither
-action applies, as over a prime field with a constant term in a
-constraint, every member is walked.
+The map f -> c^(-d) f(c(T + b)) + e, c != 0, permutes the points by
+T -> c(T + b) and the values by v -> c^(-d) v + e and keeps every
+repeated root, and the Frobenius a_k -> a_k^p permutes both by x -> x^p;
+so V(f), the profile, the patterns, the loci and the f' = 0 pairs, all
+but the witness, are the same for f and its image.
 
-Each walked member's kernels then run once per affine class.  The map
-f -> c^(-d) f(c(T + b)) + e, c != 0, permutes the points by T -> c(T + b)
-and the values by v -> c^(-d) v + e and keeps every repeated root, so
-V(f), the profile, the patterns, the loci and the f' = 0 pairs are the
-same for f and its image; only the witness is not.  `_affine_key` gives
-a normal form: the depressed member (when p does not divide d) with each
-coefficient moved to the least discrete log the scalings still allow.
-The first walked member of a class is scanned and its contribution
+The scan walks one member per orbit of the symmetries the family admits,
+weighted by the orbit's size (`orbit_weigher`).  Frobenius applies when
+every constraint coefficient lies in F_p, as integer literals do, over
+F_{p^s} with s > 1; scaling a_k -> c^(d-k) a_k, the affine map with
+b = e = 0, applies when every constraint is weighted homogeneous with
+weight(A_k) = d - k, and is the one used when both apply.  Each maps the
+family to itself.  The scanned member is the lex-least of its orbit, and
+members are walked in lex order, so the first orbit with a nonempty locus
+is scanned at the full scan's first member with one, and its least a_0 is
+the full scan's witness; `ScanResult.merge` keeps the earliest slice's
+witness.  When neither action applies, as over a prime field with a
+constant term in a constraint, every member is walked.
+
+Each walked member's kernels then run once per affine class.  A scaling
+orbit has one normal form, its lex-least point by field index
+(`_Scaling`): the orbit walk tests a member against it, and `_affine_key`
+reads it off the member depressed by T -> T + b (when p does not divide
+d).  The first walked member of a class is scanned and its contribution
 counted for every later one, at most `CLASS_CACHE_MAX` classes per scan.
 All members of a class have the same loci, so the first member with a
 nonempty locus is the first of its class, and the witness is the one a
-scan of every member gives.  `scan_members` is that scan: the plain
-loop, and the reference for `scan_family`.
+scan of every member gives.  `scan_members` is that scan: the plain loop,
+and the reference for `scan_family`.
 
 `ScanResult` is the result: every aggregate is an exact big integer, and
 the average value-set size is the exact Fraction(sum_values, member_count).
@@ -437,18 +437,19 @@ def _divisors(n):
 
 
 class _Scaling:
-    """Lex-least points of the orbits of F_q^* acting by c . a_k = c^w a_k
-    on tuples whose coordinates have the weights w in `weights`.
+    """The orbits of F_q^* acting by c . a_k = c^w a_k on tuples whose
+    coordinates have the weights w in `weights`, and their one normal
+    form: the lex-least point of an orbit by field index.
 
     Through discrete logs to a generator g: c = g^t moves g^e, of weight
     w, to g^(e + t*w).  Walking the coordinates in order, the shifts that
     fix every nonzero coordinate so far are the multiples of `step`, so a
     nonzero coordinate of weight w can still reach exactly the logs in
-    e + delta*Z, delta = gcd(step*w, q-1); least[delta] holds the least
-    index of each such coset.  Fixing it too makes step the lcm of step
-    and (q-1)/gcd(w, q-1).  At the end step is the orbit size,
-    (q-1)/gcd(q-1, h) with h the gcd of the weights of the nonzero
-    coordinates.  Each point costs O(len(weights)), not O(q).
+    e + delta*Z, delta = gcd(step*w, q-1), and in the lex-least point it
+    takes least[delta], the least index of its coset.  Fixing it makes
+    step the lcm of step and (q-1)/gcd(w, q-1).  At the end step is the
+    orbit size, (q-1)/gcd(q-1, h) with h the gcd of the weights of the
+    nonzero coordinates.  Each point costs O(len(weights)), not O(q).
     """
 
     def __init__(self, field, weights):
@@ -462,6 +463,14 @@ class _Scaling:
                     least[log[x] % delta] = x
             self.least[delta] = least
         self.weights = weights
+        # (step, w) -> (delta, unit, next step): the shift t -> t - k*unit, a
+        # multiple of step, lowers the log of a coordinate of weight w by k*delta
+        self.moves = {}
+        for step in _divisors(n):
+            for w in set(weights):
+                delta = gcd(step * w, n)
+                unit = step * pow(step * w // delta, -1, n // delta)
+                self.moves[step, w] = delta, unit, lcm(step, n // gcd(w, n))
 
     def size(self, a):
         """The size of a's orbit when a is its lex-least point, else 0."""
@@ -474,6 +483,20 @@ class _Scaling:
                     return 0
                 step = lcm(step, n // gcd(w, n))
         return step
+
+    def least_point(self, a):
+        """The lex-least point of a's orbit, one coordinate at a time."""
+        n, log, least, moves = self.order, self.log, self.least, self.moves
+        out = []
+        shift, step = 0, 1
+        for w, x in zip(self.weights, a):
+            if x:
+                delta, unit, step = moves[step, w]
+                e = (log[x] + shift * w) % n
+                x = least[delta][e % delta]
+                shift = (shift - (e - log[x]) // delta * unit) % n
+            out.append(x)
+        return tuple(out)
 
 
 def orbit_weigher(spec):
@@ -526,58 +549,30 @@ def orbit_weigher(spec):
 
 def _affine_key(field, d):
     """The affine normal form of members (a_{d-1}, ..., a_1) of degree d:
-    two members with equal keys are images of each other under
-    f -> c^(-d) f(c(T + b)) + e, with c != 0.
+    equal keys exactly for images under f -> c^(-d) f(c(T + b)) + e, c != 0.
 
-    When p does not divide d, T -> T + b with b = -a_{d-1}/d depresses f
-    (the shift is a Taylor shift on the lookup rows, and e drops the new
-    constant term), so the key reads a_{d-2}, ..., a_1 of the depressed
-    member; when p | d no shift moves a_{d-1}, and the key reads the whole
-    member, so only scalings are found.  Scaling by c moves a_k by c^(d-k):
-    the walk of `_Scaling`, but each nonzero coordinate is moved to the
-    least log its coset still allows, and the shift that does so is kept
-    for the coordinates after it.  The key is that image, each coordinate
-    as 1 + its log, or 0.  Equal keys mean the same orbit under the whole
-    affine group when p does not divide d, under scaling when p | d.
+    When p does not divide d, b = -a_{d-1}/d depresses f (a Taylor shift
+    on the lookup rows; e drops the new constant term), and the key is the
+    `_Scaling` normal form of a_{d-2}, ..., a_1, a_k of weight d - k.  When
+    p | d no shift moves a_{d-1}: the key is the normal form of the whole
+    member, and equal keys mean images under the scalings alone.
     """
     add, mul, neg, inv = field.rows()
-    n = field.q - 1
-    log = _discrete_log(field)
-    minus_inv_d = mul[neg[inv[field.scalar(d)]]]
     depress = d > 1 and field.scalar(d) != 0
-    weights = range(2, d) if depress else range(1, d)
-    # (step, w) -> (delta, unit, next step): fixing a coordinate of weight
-    # w at the least log of its coset changes the shift by k * unit, k the
-    # number of deltas its log lies above that least log
-    moves = {}
-    for step in _divisors(n):
-        for w in weights:
-            delta = gcd(step * w, n)
-            unit = step * pow(step * w // delta, -1, n // delta)
-            moves[step, w] = delta, unit, lcm(step, n // gcd(w, n))
+    least_point = _Scaling(field, range(2, d) if depress else range(1, d)).least_point
+    if not depress:
+        return least_point
+    minus_inv_d = mul[neg[inv[field.scalar(d)]]]
 
     def key(a):
-        if depress:
-            c = [1, *a, 0]  # descending; c[1] becomes 0
-            b = minus_inv_d[a[0]]
-            if b:
-                mb = mul[b]
-                for top in range(d, 1, -1):
-                    for j in range(1, top + 1):
-                        c[j] = add[c[j]][mb[c[j - 1]]]
-            a = c[2:d]
-        out = []
-        shift, step = 0, 1
-        for w, x in zip(weights, a):
-            if x:
-                delta, unit, step_next = moves[step, w]
-                k, least = divmod((log[x] + shift * w) % n, delta)
-                shift = (shift - k * unit) % n
-                step = step_next
-                out.append(least + 1)
-            else:
-                out.append(0)
-        return tuple(out)
+        c = [1, *a, 0]  # descending; c[1] becomes 0
+        b = minus_inv_d[a[0]]
+        if b:
+            mb = mul[b]
+            for top in range(d, 1, -1):
+                for j in range(1, top + 1):
+                    c[j] = add[c[j]][mb[c[j - 1]]]
+        return least_point(c[2:d])
 
     return key
 
@@ -616,11 +611,10 @@ def scan_family(spec, partition=None):
 
     Where a symmetry applies (`orbit_weigher`), only the lex-least member
     of each orbit is walked, counted |orbit| times; otherwise every member
-    is.  The kernels run once per affine class (`_affine_key`), on its
-    first walked member, and their contribution is counted for every
-    member of the class.  Every member of a class has the same loci, so
-    the first member with a nonempty locus is the first of its class and
-    is scanned: the witnesses are those of `scan_members`, the reference.
+    is.  The kernels run once per affine class, keyed by `_affine_key`
+    (the `_Scaling` normal form of the depressed member), on its first
+    walked member, and their contribution is counted for every member of
+    the class.  The witnesses are those of `scan_members`, the reference.
     """
     weigh = orbit_weigher(spec)
     if weigh is None:

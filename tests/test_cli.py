@@ -744,6 +744,25 @@ def test_main_rejects_an_extension_degree_below_one(tmp_path, capsys, s):
     assert capsys.readouterr().err == f"config error: s >= 1 required (s={s})\n"
 
 
+@pytest.mark.parametrize("s_count", ["-1", "0", "99999999"])
+def test_main_rejects_an_s_count_out_of_range_at_once(tmp_path, capsys, s_count):
+    # the range was checked only after the shape variables Y1..Ys were
+    # named: 99999999 ran on with its memory growing, and -1 and 0 were
+    # reported as an unknown variable 'Y1'
+    text = (CONFIGS / "symmetric_q7_d6.cfg").read_text(encoding="utf-8")
+    assert "s_count = 1\n" in text
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text.replace("s_count = 1\n", f"s_count = {s_count}\n"),
+                        encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(cfg_path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "config error: family.s_count must satisfy m <= s_count <= d-m-4 "
+        f"(m=1, s_count={s_count}, d=6)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "field, message",
     [

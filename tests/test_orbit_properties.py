@@ -17,8 +17,8 @@ and a filter shape:
 The slices of `partition_ranges` at 1, 2 and 3 parts, each scanned by
 orbits and merged, must equal the plain scan field for field, witnesses
 included.  `_Scaling` is also checked against the orbits listed by brute
-force, and three families that admit neither action must take the plain
-path.
+force, its orbit sizes and its normal form (the lex-least point) both, and
+three families that admit neither action must take the plain path.
 """
 
 from functools import reduce
@@ -153,6 +153,7 @@ def test_scaling_representatives_match_brute_force_orbits(p, s):
                 for c in range(1, q)
             }
             assert scaling.size(a) == (len(orbit) if a == min(orbit) else 0)
+            assert scaling.least_point(a) == min(orbit)
 
 
 def _spec(field, d, text):
