@@ -12,13 +12,13 @@ summary.  The oracles all come from `incidence`.  `--seed-check` is one
 run of this pipeline on a built-in graph family over F_5 at the default
 oracle budget, so the DFS and every literal oracle check it.
 
-Worker processes only return partial sums; the caller merges them in slice
-order, so results are identical for any worker count.  `workers` sets the
-number of slices, at most one per index the enumerator walks and at most
-four per process; a run uses at most one process per slice and per CPU,
-the caller among them, and forks the others (`ProcessPoolExecutor`).  A
-family walked directly has q^(free) members, and the run checks the
-scan's member count against it.
+Worker processes only return partial sums, and the caller adds them up
+(`ScanResult.add`); the sum does not depend on the order, so results are
+identical for any worker count.  `workers` caps the processes, at most one
+per CPU and one per index the enumerator walks; the caller runs one slice
+of the index space and forks a process for each other slice
+(`ProcessPoolExecutor`).  A family walked directly has q^(free) members,
+and the run checks the scan's member count against it.
 """
 
 from __future__ import annotations
@@ -143,25 +143,15 @@ def _scan_slice(args):
     return scan_family(spec, index_range)
 
 
-# slices cut per process, at most; each slice is one scan with its own class
-# cache and one pickled result, so beyond a few per process they cost more
-# than they balance
-SLICES_PER_PROCESS = 4
-
-
 def _gather(spec, workers):
-    slices = min(workers, spec.space_size())
-    if slices <= 1:
+    processes = min(workers, spec.space_size(), os.cpu_count() or 1)
+    if processes <= 1:
         return scan_family(spec)
-    processes = min(slices, os.cpu_count() or 1)
-    slices = min(slices, SLICES_PER_PROCESS * processes)
-    ranges = partition_ranges(spec.space_size(), slices)
-    jobs = [(spec, rng) for rng in ranges]
+    jobs = [(spec, rng) for rng in partition_ranges(spec.space_size(), processes)]
     scan = ScanResult.empty(spec.d)
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        # map yields in job order, so the merge keeps slice order
         for part in pool.map(_scan_slice, jobs):
-            scan = scan.merge(part)
+            scan.add(part)
     return scan
 
 
@@ -208,7 +198,7 @@ def _oracle_stages(spec, scan, r_max, budget):
 def run_experiment(config: ExperimentConfig, tamper_hook=None) -> ExperimentReport:
     """Execute the full pipeline for one config; see the module docstring.
 
-    tamper_hook is a test seam: it receives the merged scan and may return a
+    tamper_hook is a test seam: it receives the summed scan and may return a
     replacement, letting tests prove that a corrupted count aborts the run.
     """
     spec = build_family(config)

@@ -40,23 +40,24 @@ every constraint coefficient lies in F_p, as integer literals do, over
 F_{p^s} with s > 1; scaling a_k -> c^(d-k) a_k, the affine map with
 b = e = 0, applies when every constraint is weighted homogeneous with
 weight(A_k) = d - k, and is the one used when both apply.  Each maps the
-family to itself.  The scanned member is the lex-least of its orbit, and
-members are walked in lex order, so the first orbit with a nonempty locus
-is scanned at the full scan's first member with one, and its least a_0 is
-the full scan's witness; `ScanResult.merge` keeps the earliest slice's
-witness.  When neither action applies, as over a prime field with a
-constant term in a constraint, every member is walked.
+family to itself.  The scanned member is the lex-least of its orbit.
+When neither action applies, as over a prime field with a constant term
+in a constraint, every member is walked.
+
+A scan is a sum of one-member scans (`ScanResult.add`), and the witness of
+each locus is its lex-least pair (a_{d-1}, ..., a_1, a_0), so scans add up
+in any order.  The members of an orbit have the same loci, so an orbit's
+lex-least pair is its scanned member's.
 
 Each walked member's kernels then run once per affine class.  A scaling
 orbit has one normal form, its lex-least point by field index
 (`_Scaling`): the orbit walk tests a member against it, and `_affine_key`
 reads it off the member depressed by T -> T + b (when p does not divide
-d).  The first walked member of a class is scanned and its contribution
-counted for every later one, at most `CLASS_CACHE_MAX` classes per scan.
-All members of a class have the same loci, so the first member with a
-nonempty locus is the first of its class, and the witness is the one a
-scan of every member gives.  `scan_members` is that scan: the plain loop,
-and the reference for `scan_family`.
+d).  The first walked member of a class is scanned and its one-member scan
+added for every later one, at most `CLASS_CACHE_MAX` classes per scan.
+Members are walked in lex order and a class's members have the same loci,
+so that first member holds the class's lex-least pair.  `scan_members`
+scans every member: the plain loop, and the reference for `scan_family`.
 
 `ScanResult` is the result: every aggregate is an exact big integer, and
 the average value-set size is the exact Fraction(sum_values, member_count).
@@ -329,8 +330,8 @@ class ScanResult:
     profile[n] counts the (member, a_0) pairs with n roots, n = 0..d;
     patterns maps sorted root multiplicities to the pairs with a multiple
     root; loci counts the pairs with deg gcd(f + a_0, f') >= 1, >= 2 and
-    those with f' = 0; witnesses holds the first (a_{d-1}, ..., a_1, a_0)
-    in the first two loci, in member order.
+    those with f' = 0; witnesses holds the lex-least (a_{d-1}, ..., a_1,
+    a_0) in each of the first two loci.
     """
 
     __slots__ = ("d", "member_count", "sum_values", "profile", "patterns", "loci", "witnesses")
@@ -361,19 +362,23 @@ class ScanResult:
     def empty(cls, d):
         return cls(d, 0, 0, [0] * (d + 1))
 
-    def merge(self, other):
-        """The scan of this slice followed by `other`'s slice."""
+    def add(self, other, weight=1):
+        """Add `weight` times `other`'s counts to this scan, in place, and
+        keep the lesser witness of each locus; returns self."""
         if self.d != other.d:
-            raise ParameterRange("merging scans of different degree")
-        return ScanResult(
-            self.d,
-            self.member_count + other.member_count,
-            self.sum_values + other.sum_values,
-            [a + b for a, b in zip(self.profile, other.profile)],
-            self.patterns + other.patterns,
-            [a + b for a, b in zip(self.loci, other.loci)],
-            [w if w is not None else v for w, v in zip(self.witnesses, other.witnesses)],
-        )
+            raise ParameterRange("adding scans of different degree")
+        self.member_count += weight * other.member_count
+        self.sum_values += weight * other.sum_values
+        for n, cnt in enumerate(other.profile):
+            self.profile[n] += weight * cnt
+        for key, cnt in other.patterns.items():
+            self.patterns[key] += weight * cnt
+        for i, cnt in enumerate(other.loci):
+            self.loci[i] += weight * cnt
+        for i, w in enumerate(other.witnesses):
+            if w is not None and (self.witnesses[i] is None or w < self.witnesses[i]):
+                self.witnesses[i] = w
+        return self
 
     def interpolating_count(self, r):
         """S_r from the aggregated histogram."""
@@ -578,31 +583,16 @@ def _affine_key(field, d):
 
 
 # affine classes kept per scan, at most; a member of a class past the bound
-# is scanned and folded in, not stored
+# is scanned and added, not stored
 CLASS_CACHE_MAX = 1 << 16
 
 
-def _contribution(field, d, member, witnesses):
-    """(V(f), profile, patterns, loci) of one member, by both kernels;
-    an empty slot of `witnesses` takes the member's first repeated-root
-    pair, as in `_repeated_root_profile`."""
-    profile, patterns, loci = [0] * (d + 1), Counter(), [0, 0, 0]
-    vf = _member_histogram(field, member, profile, patterns)
-    _repeated_root_profile(field, member, loci, witnesses)
-    return vf, profile, patterns, loci
-
-
-def _fold(result, contribution, weight):
-    """Add `weight` members of one contribution into result."""
-    vf, profile, patterns, loci = contribution
-    result.member_count += weight
-    result.sum_values += weight * vf
-    for n, cnt in enumerate(profile):
-        result.profile[n] += weight * cnt
-    for key, cnt in patterns.items():
-        result.patterns[key] += weight * cnt
-    for i, cnt in enumerate(loci):
-        result.loci[i] += weight * cnt
+def _scan_member(field, d, member):
+    """The one-member `ScanResult` of a member, by both kernels."""
+    result = ScanResult(d, 1, 0, [0] * (d + 1))
+    result.sum_values = _member_histogram(field, member, result.profile, result.patterns)
+    _repeated_root_profile(field, member, result.loci, result.witnesses)
+    return result
 
 
 def scan_family(spec, partition=None):
@@ -613,8 +603,8 @@ def scan_family(spec, partition=None):
     of each orbit is walked, counted |orbit| times; otherwise every member
     is.  The kernels run once per affine class, keyed by `_affine_key`
     (the `_Scaling` normal form of the depressed member), on its first
-    walked member, and their contribution is counted for every member of
-    the class.  The witnesses are those of `scan_members`, the reference.
+    walked member, and its one-member scan is added for every member of
+    the class.  The result equals `scan_members`, the reference.
     """
     weigh = orbit_weigher(spec)
     if weigh is None:
@@ -624,20 +614,18 @@ def scan_family(spec, partition=None):
     result = ScanResult.empty(spec.d)
     field, d = spec.field, spec.d
     key_of = _affine_key(field, d)
-    classes = {}  # affine key -> [contribution, summed weight]
+    classes = {}  # affine key -> [one-member scan, summed weight]
     for member, weight in weighted:
         key = key_of(member)
         entry = classes.get(key)
         if entry is not None:
             entry[1] += weight
-            continue
-        contribution = _contribution(field, d, member, result.witnesses)
-        if len(classes) < CLASS_CACHE_MAX:
-            classes[key] = [contribution, weight]
+        elif len(classes) < CLASS_CACHE_MAX:
+            classes[key] = [_scan_member(field, d, member), weight]
         else:
-            _fold(result, contribution, weight)
-    for contribution, weight in classes.values():
-        _fold(result, contribution, weight)
+            result.add(_scan_member(field, d, member), weight)
+    for scan, weight in classes.values():
+        result.add(scan, weight)
     return result
 
 
@@ -646,5 +634,5 @@ def scan_members(spec, partition=None):
     plain loop, and the reference for `scan_family`."""
     result = ScanResult.empty(spec.d)
     for member in enumerate_family(spec, partition):
-        _fold(result, _contribution(spec.field, spec.d, member, result.witnesses), 1)
+        result.add(_scan_member(spec.field, spec.d, member))
     return result

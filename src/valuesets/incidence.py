@@ -17,8 +17,8 @@ orbit identity r!*S_r = distinct and the subtraction distinct = hermite -
 coincident hold by construction of the `ScanResult` counts, which read
 both sides off one histogram and one set of multiplicity patterns; so the
 patterns are checked independently only by the prefix DFS, and only
-within its price (`test_dfs_oracle_catches_tampered_patterns`).  ROADMAP
-direction 4 plans a check at every budget.
+within its price (`test_dfs_oracle_catches_tampered_patterns`).  The
+ROADMAP direction "Keep an independent check at every budget" plans one.
 
 The hermite and coincident counts of a pair (f, a_0) depend only on the
 multiplicities of the F_q-roots of f + a_0, so they are read off the

@@ -2,7 +2,8 @@
 
 `scan_family` runs the per-member kernels once per affine class, the
 members f and c^(-d) f(c(T + b)) + e (constant term dropped), and counts
-the class's contribution for every member of it.  Checked here:
+its first walked member's one-member scan for every member of it.
+Checked here:
 
 - the key: a random affine image of a member has the member's key (b = 0
   when p | d, where the key only scales), and on small spaces each class
@@ -10,7 +11,10 @@ the class's contribution for every member of it.  Checked here:
 - the memoized scan against `scan_members`, the plain loop, field for field
   with the witnesses: over F_2, F_3, F_5, F_7, F_4, F_8, F_9 and F_16,
   d = 2..6 with p | d and f' = 0 among the draws, on weighted and
-  unweighted walks, whole and in 2 or 3 merged slices;
+  unweighted walks, whole and in 2 or 3 added slices;
+- each witness against the lex-least pair of its locus, by `poly_gcd` over
+  every (member, a_0), and slice scans added in shuffled order against the
+  whole scan, over F_2 ... F_9 with d = 2..5;
 - the witnesses where the first member with a repeated root is not the
   first member walked, and in a slice whose first such member's class was
   first walked in an earlier slice; one kernel run per class, and the
@@ -25,11 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valuesets import engine
-from valuesets.engine import _affine_key, orbit_weigher, scan_family, scan_members
+from valuesets.engine import ScanResult, _affine_key, orbit_weigher, scan_family, scan_members
 from valuesets.exprs import coeff_variables, parse_poly_expr
 from valuesets.families import FamilySpec, enumerate_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.multipoly import MultiPoly
+from valuesets.unipoly import UniPoly, poly_gcd
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 MAX_MEMBERS = 400
@@ -112,7 +117,7 @@ def _pivot(field, n, j, coefficient, left, constant=0):
 
 
 @st.composite
-def graph_families(draw, p, s, walk):
+def graph_families(draw, p, s, walk, max_d=6):
     """A family walked directly: each coordinate free, pinned to 0, or pinned
     to a weight-homogeneous monomial in the coordinates left of it.
 
@@ -124,8 +129,9 @@ def graph_families(draw, p, s, walk):
     """
     field = field_new(p, s)
     q = field.q
-    ds = [d for d in range(2, 7) if d % p == 0] if draw(st.booleans()) else []
-    d = draw(st.sampled_from(ds or list(range(2, 7))))
+    degrees = range(2, max_d + 1)
+    ds = [d for d in degrees if d % p == 0] if draw(st.booleans()) else []
+    d = draw(st.sampled_from(ds or list(degrees)))
     n = d - 1
     derivative_zero = d % p == 0 and draw(st.booleans())
     coefficient = st.integers(1, p - 1) if walk == "frobenius" else st.integers(1, q - 1)
@@ -186,9 +192,43 @@ def test_memoized_scan_equals_plain_loop(p, s, walk, data):
     assert scan_family(spec) == plain
     parts = data.draw(st.integers(2, 3))
     slices = [scan_family(spec, rng) for rng in partition_ranges(spec.space_size(), parts)]
-    merged = reduce(lambda x, y: x.merge(y), slices)
-    assert merged.witnesses == plain.witnesses
-    assert merged == plain
+    total = reduce(lambda x, y: x.add(y), slices)
+    assert total.witnesses == plain.witnesses
+    assert total == plain
+
+
+def _least_locus_pairs(spec):
+    """The lex-least (a_{d-1}, ..., a_1, a_0) with deg gcd(f + a_0, f') >= 1
+    resp. >= 2 among every member's pairs, by `poly_gcd`; None for an empty
+    locus."""
+    field = spec.field
+    least = [None, None]
+    for member in sorted(enumerate_family(spec)):
+        tail = [*reversed(member), 1]
+        deriv = UniPoly(field, [0, *tail]).derivative()
+        for a0 in field.indices():
+            g = poly_gcd(UniPoly(field, [a0, *tail]), deriv).degree
+            for i in range(min(g, 2)):
+                if least[i] is None:
+                    least[i] = (*member, a0)
+        if None not in least:
+            break
+    return least
+
+
+@pytest.mark.parametrize("p, s, walk", [w for w in WALKS if w.values[:2] != (2, 4)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_witnesses_are_the_lex_least_pairs(p, s, walk, data):
+    spec = data.draw(graph_families(p, s, walk, max_d=5))
+    whole = scan_family(spec)
+    assert whole.witnesses == _least_locus_pairs(spec)
+    parts = data.draw(st.integers(2, 4))
+    slices = [scan_family(spec, rng) for rng in partition_ranges(spec.space_size(), parts)]
+    total = ScanResult.empty(spec.d)
+    for part in data.draw(st.permutations(slices)):
+        total.add(part)
+    assert total == whole
 
 
 def test_witnesses_come_from_the_first_member_with_a_repeated_root():
@@ -210,7 +250,7 @@ def test_witnesses_come_from_the_first_member_with_a_repeated_root():
     tail = scan_family(spec, second)
     assert tail.witnesses == [(4, 3, 6), (4, 3, 6)]
     assert tail == scan_members(spec, second)
-    assert scan_family(spec, first).merge(tail) == whole
+    assert scan_family(spec, first).add(tail) == whole
 
 
 def test_scan_runs_the_kernels_once_per_class(monkeypatch):
@@ -219,16 +259,16 @@ def test_scan_runs_the_kernels_once_per_class(monkeypatch):
     key = _affine_key(field, 5)
     classes = {key(m) for m in enumerate_family(spec)}
     calls = []
-    true_contribution = engine._contribution
+    true_scan_member = engine._scan_member
 
     def counted(*args):
         calls.append(args[2])
-        return true_contribution(*args)
+        return true_scan_member(*args)
 
-    monkeypatch.setattr(engine, "_contribution", counted)
+    monkeypatch.setattr(engine, "_scan_member", counted)
     memo = scan_family(spec)
     assert len(calls) == len(classes) < spec.space_size() // 10
-    # past the bound every new class is scanned and folded in, not stored
+    # past the bound every new class is scanned and added, not stored
     monkeypatch.setattr(engine, "CLASS_CACHE_MAX", 3)
     calls.clear()
     assert scan_family(spec) == memo

@@ -145,8 +145,8 @@ class _InlinePool:
 
 @pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1), (128, 64)])
 def test_worker_pool_capped_at_cpu_count(monkeypatch, cpus, want):
-    # 64 slices of the 121 members still cut, but never more processes
-    # than CPUs
+    # 64 workers on the 121 members start one process per CPU, at most 64,
+    # and one CPU builds no pool
     sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -155,7 +155,7 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch, cpus, want):
     fanned = parse_config(text)
     fanned.workers = 64
     parallel = run_experiment(fanned)
-    assert sizes == [want]
+    assert sizes == ([want] if want > 1 else [])
     assert parallel.to_summary() == serial.to_summary()
     assert parallel.to_csv() == serial.to_csv()
 
@@ -180,40 +180,18 @@ PINNED_Q13 = dedent(
 
 
 def test_gather_cuts_at_most_one_slice_per_index(monkeypatch):
-    # 25 members: 10 000 workers cut 25 slices of one member each, not
-    # 10 000 slices that are nearly all empty (8 CPUs allow 32 slices, so
-    # the index space is the cap that binds)
-    sizes, jobs = [], []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes, jobs=jobs))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    # 25 members: 10 000 workers cut one slice per process, 8 on 8 CPUs,
+    # and on 64 CPUs 25 slices of one member each, not 64 with 39 empty
     f5 = field_new(5)
     spec = linear_family(f5, 4, 1, [parse_poly_expr("A3", f5, 3, coeff_variables(4))])
     assert spec.space_size() == 25
-    assert cli._gather(spec, 10_000) == cli._gather(spec, 1)
-    assert len(jobs) == 25
-    assert sizes == [8]
-
-
-def test_gather_caps_slices_per_pool_process(monkeypatch):
-    # 20 000 workers on the 2 197-member pinned family cut at most four
-    # slices per pool process, not 2 197 pickled one-member tasks
-    spec = build_family(parse_config(PINNED_Q13))
-    cuts, sizes = [], []
-    forked_pool = cli.ProcessPoolExecutor
-
-    def counted_ranges(total, parts):
-        cuts.append(parts)
-        return partition_ranges(total, parts)
-
-    def sized_pool(max_workers):
-        sizes.append(max_workers)
-        return forked_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "partition_ranges", counted_ranges)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", sized_pool)
-    assert cli._gather(spec, 20_000) == scan_family(spec)
-    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
-    assert len(cuts) == 1 and 2 <= cuts[0] <= 4 * sizes[0]
+    for cpus, want in ((8, 8), (64, 25)):
+        sizes, jobs = [], []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", partial(_InlinePool, sizes, jobs=jobs))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._gather(spec, 10_000) == scan_family(spec)
+        assert sizes == [want]
+        assert len(jobs) == want
 
 
 def _job_and_pid(job):

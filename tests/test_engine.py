@@ -204,10 +204,23 @@ def test_partitioned_scan_merges_to_full():
     spec = FamilySpec(F5, 4, 1, [constraint("A3^2 - A2", F5, 4)])
     full = scan_family(spec)
     for parts in (2, 3, 8):
-        merged = ScanResult.empty(spec.d)
+        total = ScanResult.empty(spec.d)
         for rng in partition_ranges(spec.space_size(), parts):
-            merged = merged.merge(scan_family(spec, partition=rng))
-        assert merged == full
+            assert total.add(scan_family(spec, partition=rng)) is total
+        assert total == full
+    # a weight adds that many copies, and each locus keeps the lesser witness
+    first, second = partition_ranges(spec.space_size(), 2)
+    y = scan_family(spec, second)
+    thrice = scan_family(spec, first).add(y).add(y).add(y)
+    assert scan_family(spec, first).add(y, 3) == thrice
+    assert thrice.member_count == full.member_count + 2 * y.member_count
+    x = ScanResult.empty(spec.d)
+    x.witnesses = [None, (1, 0, 0, 2)]
+    y = ScanResult.empty(spec.d)
+    y.witnesses = [(0, 4, 4, 1), (2, 0, 0, 0)]
+    assert x.add(y).witnesses == [(0, 4, 4, 1), (1, 0, 0, 2)]
+    with pytest.raises(ParameterRange):
+        ScanResult.empty(spec.d).add(ScanResult.empty(spec.d + 1))
 
 
 def test_combinatorial_sanity_binomial_collapse():

@@ -9,7 +9,7 @@ methods and `UniPoly`:
 - the histogram scan against value sets and root counts of each f + a_0,
   and its multiplicity patterns against repeated division by (T - c);
 - the scan's hermite and coincident counts against the prefix DFS
-  (`hermite_profile`) for r <= d, and slice scans merged against the full
+  (`hermite_profile`) for r <= d, and slice scans added against the full
   scan, and worker-pool scans at 2 and 3 workers against the serial scan;
 - the prefix DFS against the division oracle, which run one kernel over
   `enumerate_family` and over the candidate filter (so this checks that
@@ -174,9 +174,9 @@ def test_slice_scans_merge_to_full_scan(spec, parts):
     slices = [
         scan_family(spec, rng) for rng in partition_ranges(spec.space_size(), parts)
     ]
-    merged = reduce(lambda a, b: a.merge(b), slices)
-    assert merged.patterns == full.patterns
-    assert merged == full
+    total = reduce(lambda a, b: a.add(b), slices)
+    assert total.patterns == full.patterns
+    assert total == full
 
 
 @settings(max_examples=20, deadline=None)

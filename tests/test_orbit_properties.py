@@ -15,7 +15,7 @@ and a filter shape:
   filter shape has no clean linear term.
 
 The slices of `partition_ranges` at 1, 2 and 3 parts, each scanned by
-orbits and merged, must equal the plain scan field for field, witnesses
+orbits and added, must equal the plain scan field for field, witnesses
 included.  `_Scaling` is also checked against the orbits listed by brute
 force, its orbit sizes and its normal form (the lex-least point) both, and
 three families that admit neither action must take the plain path.
@@ -112,19 +112,19 @@ def homogeneous_families(draw):
     return FamilySpec(field, d, 1, [MultiPoly(field, n, terms)])
 
 
-def _merged_slices(spec, parts):
+def _added_slices(spec, parts):
     slices = [scan_family(spec, rng) for rng in partition_ranges(spec.space_size(), parts)]
-    return reduce(lambda a, b: a.merge(b), slices)
+    return reduce(lambda a, b: a.add(b), slices)
 
 
 def _check_against_plain_loop(spec):
     assert orbit_weigher(spec) is not None
     plain = scan_members(spec)
     for parts in (1, 2, 3):
-        merged = _merged_slices(spec, parts)
-        assert merged.patterns == plain.patterns
-        assert merged.witnesses == plain.witnesses
-        assert merged == plain
+        total = _added_slices(spec, parts)
+        assert total.patterns == plain.patterns
+        assert total.witnesses == plain.witnesses
+        assert total == plain
 
 
 @settings(max_examples=80, deadline=None)
