@@ -192,6 +192,19 @@ def validate_config(config: ExperimentConfig) -> None:
     """The range checks; `parse_config` builds the family after them."""
     if config.s < 1:
         raise ValidationError(f"s >= 1 required (s={config.s})")
+    # every family walk covers at least the q^(d-1-m) points of its free
+    # coordinates, and `islice` indexes a walk by a machine int; the bit
+    # lengths decide before any power is formed that could be too large
+    free = config.d - 1 - config.m
+    if free >= 1 and (
+        (config.p.bit_length() - 1) * config.s * free >= sys.maxsize.bit_length()
+        or config.p ** (config.s * free) > sys.maxsize
+    ):
+        raise ValidationError(
+            f"q^(d-1-m) <= sys.maxsize = {sys.maxsize} required, the least walk "
+            f"(p={shown(str(config.p))}, s={shown(str(config.s))}, "
+            f"d-1-m={shown(str(free))})"
+        )
     if config.q <= config.d:
         raise ValidationError(f"q > d required (q={config.q}, d={config.d})")
     if config.d < config.m + 2:

@@ -41,6 +41,7 @@ this way, so on the direct walk a member it skips costs no rule
 evaluation.
 """
 
+import sys
 from itertools import islice, product
 
 from .errors import (
@@ -85,6 +86,11 @@ class FamilySpec:
         )
         # the coordinates `enumerate_family` walks: the free ones, or all
         self.walked = self.solution[0] if self.direct else tuple(range(d - 1))
+        if self.space_size() > sys.maxsize:
+            raise ParameterRange(
+                f"the walk over q^{len(self.walked)} indices exceeds sys.maxsize = "
+                f"{sys.maxsize} (q={field.q})"
+            )
 
     def space_size(self):
         """Size of the index space `enumerate_family` walks.

@@ -34,22 +34,26 @@ A child t is kept when synthetic division by (T - t) leaves remainder 0;
 the node product divides f + a_0 exactly when every division of the chain
 is exact, repeated nodes counted by multiplicity, so the chains of depth r
 are the hermite r-tuples, and those with a repeated node the coincident
-ones.  The root pins a_0 = -f(t), so a start node costs one Horner pass
-and the nodes visited are the price `cli._oracle_stages` checks.
-`hermite_profile` walks `enumerate_family`, the division oracle the
-candidate filter's members.
+ones.  The root pins a_0 = -f(t), so a start node costs one Horner pass.
+Below depth 1 a node tries only the children its parent kept, since its
+quotient divides the parent's, so the price `cli._oracle_stages` checks,
+q children per node, bounds the work from above.  `hermite_profile` walks
+`enumerate_family`, the division oracle the candidate filter's members.
 
 Every brute-force recount of the scan lives in this module; `engine` is
 only the scan.  No oracle reads `Field.rows()`, the scan's lookup table, or
 anything of the scan but its member count: they call the `Field` methods.
 The budget-guarded oracles price their work before they list a member
-(`oracle_members`).  The literal S_r and distinct-tuple oracles share one
-kernel, `_literal_tuple_count`: it evaluates each member once per node,
-finds the roots of each f + a_0 by testing every node, and counts the
-r-subsets resp. ordered r-tuples of distinct nodes that are all roots.
+(`oracle_members`), and the oracles of one run list the candidate filter
+once between them.  The literal S_r and distinct-tuple oracles share one
+kernel, `_literal_tuple_count`: it evaluates each member once per node and
+counts the r-subsets resp. ordered r-tuples of distinct nodes whose values
+all agree.  Such a tuple is a root tuple of f + a_0 at one shift, the pin
+a_0 = -f(x_1) of its first node, and any other tuple is one at no shift.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, perm
 
@@ -70,32 +74,52 @@ class IncidenceCounts:
 
 def _chains(field, members, r_max):
     """(hermite, coincident) count lists for tuple lengths 1..r_max, by the
-    exact-quotient DFS on the `Field` methods.  Depth 0 holds f without its
-    constant slot: a first node's Horner pass is the quotient at a_0 = -f(t).
+    exact-quotient DFS on the `Field` methods.
+
+    Depth 0 holds f without its constant slot, so a start node t takes one
+    Horner pass, the quotient of f + a_0 by (T - t) at a_0 = -f(t); at
+    r_max = 1 every start node is a chain, and none is computed.  A node of
+    depth 1 tries every node as a child.  Below that, a node tries only the
+    children its parent kept: its quotient is the parent's divided by
+    (T - t), so each of its roots is a root of the parent's.  At depth
+    r_max - 1 the exact divisions are counted without building quotients.
     """
     add, mul = field.add, field.mul
     nodes = list(field.indices())
+    if r_max == 1:
+        return [len(nodes) * sum(1 for _ in members)], [0]
     star = [0] * (r_max + 1)
     coinc = [0] * (r_max + 1)
 
-    def descend(quotient, prefix, has_dup):
-        depth = len(prefix)
-        star[depth] += 1
-        coinc[depth] += has_dup
-        if depth == r_max:
-            return
+    def descend(quotient, prefix, has_dup, tried):
+        depth = len(prefix) + 1  # the depth of the children
         lead, rest = quotient[0], quotient[1:]
-        for t in nodes:
+        if depth == r_max:
+            for t in tried:
+                acc = lead
+                for c in rest:
+                    acc = add(mul(acc, t), c)
+                if acc == 0:
+                    star[depth] += 1
+                    coinc[depth] += has_dup or t in prefix
+            return
+        kept = {}
+        for t in tried:
             acc = lead
             child = [acc]
             for c in rest:
                 acc = add(mul(acc, t), c)
                 child.append(acc)
-            if not depth or child.pop() == 0:
-                descend(child, prefix + (t,), has_dup or t in prefix)
+            if depth == 1 or child.pop() == 0:
+                kept[t] = child
+        star[depth] += len(kept)
+        for t, child in kept.items():
+            dup = has_dup or t in prefix
+            coinc[depth] += dup
+            descend(child, prefix + (t,), dup, nodes if depth == 1 else kept)
 
     for member in members:
-        descend([1, *member], (), False)
+        descend([1, *member], (), False, nodes)
     return star[1:], coinc[1:]
 
 
@@ -181,6 +205,13 @@ def collect(spec, r_max, scan):
 
 # --- budget-guarded enumeration oracles ---------------------------------------
 
+@lru_cache(maxsize=1)
+def _filter_listing(spec):
+    """The candidate filter's members of the last spec object listed, so
+    the oracles of one run walk the filter once between them."""
+    return tuple(filter_family(spec))
+
+
 def oracle_members(spec, cost_per_member, budget, label, member_count=None):
     """Members for a brute-force oracle, listed only after its budget check.
 
@@ -194,18 +225,21 @@ def oracle_members(spec, cost_per_member, budget, label, member_count=None):
     cost = cost_per_member * member_count
     if cost > budget:
         raise BudgetExceeded(f"{label} cost {cost} exceeds budget {budget}")
-    return list(filter_family(spec))
+    return _filter_listing(spec)
 
 
 def _literal_tuple_count(field, members, tuples, r):
     """Node tuples whose nodes are all roots of f + a_0, summed over the
     members f and the shifts a_0; tuples is `combinations` or
-    `permutations`, applied to the field's indices.
+    `permutations`, applied to the nodes' values.
 
     Each member is evaluated once per node by Horner through the `Field`
-    methods, and the roots of each f + a_0 are found by testing every node.
-    Nodes are not bucketed by value, which is the scan's histogram, so the
-    count stays independent of the scan.
+    methods, constant slot 0.  A node tuple can be a root tuple of f + a_0
+    only at a_0 = -f(x_1), its first node's pin, and it is one there
+    exactly when every node of it has the value f(x_1); so each tuple
+    takes one test, and no shift is walked.  Nodes are not bucketed by
+    value, which is the scan's histogram, so the count stays independent
+    of the scan.
     """
     add, mul = field.add, field.mul
     nodes = list(field.indices())
@@ -217,9 +251,7 @@ def _literal_tuple_count(field, members, tuples, r):
             for coef in member:
                 acc = add(mul(acc, x), coef)
             values.append(mul(acc, x))
-        for a0 in nodes:
-            roots = {x for x, v in zip(nodes, values) if add(v, a0) == 0}
-            total += sum(map(roots.issuperset, tuples(nodes, r)))
+        total += sum(t.count(t[0]) == r for t in tuples(values, r))
     return total
 
 

@@ -10,10 +10,10 @@ from textwrap import dedent
 
 import pytest
 
-from valuesets import cli, engine
+from valuesets import cli, engine, incidence
 from valuesets.bounds import average_error_bound
 from valuesets.cli import main, run_experiment
-from valuesets.config import build_family, parse_config
+from valuesets.config import DEFAULT_ORACLE_BUDGET, build_family, parse_config
 from valuesets.engine import ScanResult, scan_family
 from valuesets.errors import EmptyFamily, IdentityViolation, UnknownVariable
 from valuesets.exprs import coeff_variables, parse_poly_expr
@@ -742,6 +742,39 @@ def test_main_rejects_an_s_count_out_of_range_at_once(tmp_path, capsys, s_count)
 
 
 @pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"p = 11": "p = 31", "d = 4": "d = 20", "forms = A3": "forms = A19 - 1"},
+         "least walk (p=31, s=1, d-1-m=18)"),
+        ({"p = 11": "p = 31", "d = 4": "d = 14", "kind = linear": "kind = custom",
+          "forms = A3": "forms = A13^2 + A12^2 + 1"},
+         "the walk over q^13 indices exceeds sys.maxsize"),
+        ({"p = 11": "p = 2305843009213693951"}, "(p=2305843009213693951, s=1, d-1-m=2)"),
+        ({"p = 11": "p = 2\ns = 64"}, "(p=2, s=64, d-1-m=2)"),
+        ({"p = 11": "p = 1000000007", "d = 4": "d = 99999999", "r_max = 4": "r_max = 2"},
+         "(p=1000000007, s=1, d-1-m=99999997)"),
+        ({"p = 11": "p = 11\ns = 99999999"}, "(p=11, s=99999999, d-1-m=2)"),
+    ],
+    ids=["linear-d20", "unsolved-d14", "p-2^61-1", "s64", "d-99999999", "s-99999999"],
+)
+def test_main_refuses_a_walk_past_sys_maxsize(tmp_path, capsys, edits, message):
+    # the first two ended in islice's ValueError traceback; the others hung
+    # in is_prime, the modulus search, coeff_variables and ExperimentConfig.q
+    text = LINEAR_Q11
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg_path = tmp_path / "walk.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(cfg_path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0].encode()) < 300
+    assert err[0].startswith("config error: ") and message in err[0]
+
+
+@pytest.mark.parametrize(
     "field, message",
     [
         ("p = 11\nmodulus = 3, 2", "field.modulus must be monic"),
@@ -757,6 +790,26 @@ def test_main_rejects_a_bad_modulus_at_every_s(tmp_path, capsys, field, message)
     cfg_path.write_text(LINEAR_Q11.replace("p = 11", field), encoding="utf-8")
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("budget, listings", [(None, 1), (0, 0)])
+def test_run_lists_the_candidate_filter_once(monkeypatch, budget, listings):
+    # six oracle calls share one listing, made after the first budget check
+    # that passes; at budget 0 every oracle refuses before it lists a member
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return filter_family(spec)
+
+    monkeypatch.setattr(incidence, "filter_family", counted)
+    config = parse_config(SMALL_Q7)
+    config.oracle_budget = DEFAULT_ORACLE_BUDGET if budget is None else budget
+    notes = [line for line in run_experiment(config).summary_lines
+             if line.startswith("oracle ")]
+    assert len(notes) == 6
+    assert sum("agreed" in line for line in notes) == 6 * listings
+    assert len(calls) == listings
 
 
 def test_main_builds_the_family_twice(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -171,6 +172,16 @@ def test_spec_validation():
         FamilySpec(F5, 5, 1, [constraint("A3", F5, 4)])
     with pytest.raises(ArityMismatch):
         FamilySpec(F3, 4, 1, [constraint("A3", F5, 4)])
+
+
+def test_spec_refuses_a_walk_past_sys_maxsize():
+    # `islice` refuses a stop past sys.maxsize; 31^13 is the unsolved filter
+    # walk of A13^2 + A12^2 + 1, and 31^12 its solved neighbour's direct walk
+    F31 = field_new(31)
+    with pytest.raises(ParameterRange, match=r"q\^13 indices exceeds sys.maxsize"):
+        FamilySpec(F31, 14, 1, [constraint("A13^2 + A12^2 + 1", F31, 14)])
+    spec = FamilySpec(F31, 14, 1, [constraint("A13^2 + A12", F31, 14)])
+    assert spec.space_size() == 31**12 <= sys.maxsize
 
 
 def test_degrees_recorded():

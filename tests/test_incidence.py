@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from valuesets import incidence
 from valuesets.engine import scan_family
 from valuesets.errors import BudgetExceeded, IdentityViolation, ParameterRange
 from valuesets.exprs import coeff_variables, parse_poly_expr
@@ -74,6 +75,54 @@ def rowless(field):
     fresh = object.__new__(Rowless)
     fresh.__dict__.update(vars(field), _rows=None)
     return fresh
+
+
+def counting(field):
+    """A copy of field whose `add` and `mul` count their calls in `calls`."""
+
+    class Counting(type(field)):
+        def add(self, a, b):
+            self.calls += 1
+            return super().add(a, b)
+
+        def mul(self, a, b):
+            self.calls += 1
+            return super().mul(a, b)
+
+    fresh = object.__new__(Counting)
+    fresh.__dict__.update(vars(field), calls=0)
+    return fresh
+
+
+def test_literal_oracles_make_no_calls_per_shift(monkeypatch):
+    # one Horner pass per member and node, 2d - 1 calls, and none per shift
+    # or per tuple: each tuple is tested against its first node's pin
+    field = counting(F7)
+    spec = quad_spec(field, 4)
+    members = list(enumerate_family(spec))
+    monkeypatch.setattr(incidence, "filter_family", lambda spec: iter(members))
+    scan = scan_family(quad_spec(F7, 4))
+    bound = len(members) * field.q * (2 * spec.d - 1)
+    for oracle, expected in (
+        (count_interpolating_sets_direct, scan.interpolating_count(2)),
+        (count_distinct_tuples_oracle, scan.distinct_tuple_count(2)),
+    ):
+        field.calls = 0
+        assert oracle(spec, 2, member_count=len(members)) == expected
+        assert field.calls <= bound == 2401
+
+
+def test_prefix_dfs_tries_only_the_kept_roots():
+    # the 98 calls of the direct walk included; trying every node at every
+    # depth, as the DFS once did, took 30 380
+    field = counting(F7)
+    spec = quad_spec(field, 4)
+    field.calls = 0
+    star, coinc = hermite_profile(spec, 4)
+    assert field.calls == 20048 < 30380
+    scan = scan_family(quad_spec(F7, 4))
+    assert star == [scan.hermite_count(r) for r in range(1, 5)]
+    assert coinc == [scan.coincident_count(r) for r in range(1, 5)]
 
 
 def test_no_oracle_reads_the_lookup_rows():

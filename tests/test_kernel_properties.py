@@ -15,7 +15,9 @@ methods and `UniPoly`:
   `enumerate_family` and over the candidate filter (so this checks that
   the two enumerators agree), and the division oracle's quotient chains
   against reducing f + a_0 modulo the node product and against the scan's
-  hermite counts, for r <= 3 wherever the oracle's cost fits its budget;
+  hermite counts, and the DFS's coincident counts against the dividing
+  node products with a repeated node, for r <= 3 wherever the oracle's
+  cost fits its budget;
 - the literal S_r and distinct-tuple oracles against per-tuple Horner
   loops and against the scan's S_r and distinct counts, for r <= 3
   wherever the oracle's price fits the budget;
@@ -38,7 +40,7 @@ from functools import reduce
 from itertools import product
 from math import comb, perm
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valuesets import cli
@@ -202,26 +204,38 @@ def test_prefix_dfs_matches_division_oracle(spec):
             ), (spec, r)
 
 
+# f = T^4 + a_2 T^2 over F_2: p | d, and f' = 0 on every member
+_F2 = field_new(2)
+_FLAT_F2 = FamilySpec(_F2, 4, 2, [MultiPoly(_F2, 3, {(1, 0, 0): 1}),
+                                  MultiPoly(_F2, 3, {(0, 0, 1): 1})])
+
+
 @settings(max_examples=60, deadline=None)
 @given(any_families)
+@example(_FLAT_F2)
 def test_division_oracle_matches_product_and_mod(spec):
     # the quotient chain against the node product reduced modulo, and
-    # against the scan's hermite counts
+    # against the scan's hermite counts; the DFS's repeated-node flag
+    # against the dividing node products with a repeated node
     field = spec.field
     q = field.q
     members = list(filter_family(spec))
     scan = scan_family(spec)
+    star, coinc = hermite_profile(spec, 3)
     for r in range(1, 4):
         if q ** (r + 1) * len(members) > ORACLE_BUDGET:
             continue
-        reference = sum(
-            hermite_divides(_member_poly(field, member, a0), nodes)
-            for member in members
-            for a0 in field.indices()
-            for nodes in product(range(q), repeat=r)
-        )
+        hermite = coincident = 0
+        for member in members:
+            for a0 in field.indices():
+                f = _member_poly(field, member, a0)
+                for nodes in product(range(q), repeat=r):
+                    if hermite_divides(f, nodes):
+                        hermite += 1
+                        coincident += len(set(nodes)) < r
         got = count_hermite_tuples_oracle(spec, r, ORACLE_BUDGET, len(members))
-        assert got == reference == scan.hermite_count(r), (spec, r)
+        assert got == hermite == scan.hermite_count(r), (spec, r)
+        assert (star[r - 1], coinc[r - 1]) == (hermite, coincident), (spec, r)
 
 
 @settings(max_examples=60, deadline=None)
