@@ -23,6 +23,7 @@ Arithmetic policy, in order of preference:
   budget for comparisons.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, exp, factorial, isqrt, log, log1p, perm, sqrt
 
@@ -77,13 +78,9 @@ def size_threshold_ok(degrees, q):
     return q > expr
 
 
-class FamilySizeBracket:
-    __slots__ = ("lower", "upper", "threshold_ok")
-
-    def __init__(self, lower, upper, threshold_ok):
-        self.lower = lower  # strict lower bound q**e / 2, q**e the main term
-        self.upper = upper  # inclusive upper bound, floored conservatively
-        self.threshold_ok = threshold_ok
+# lower is the strict lower bound q^e / 2, q^e the main term; upper the
+# inclusive upper bound, floored conservatively
+FamilySizeBracket = namedtuple("FamilySizeBracket", "lower upper threshold_ok")
 
 
 def family_size_bracket(d, m, degrees, q, inclusive=False):
@@ -193,15 +190,11 @@ def average_bound_applicable(d, m, degrees, q):
 # --- growth profile of the bound's combinatorial terms ------------------------
 
 
-class TermProfile:
-    __slots__ = ("values", "peak_index", "unimodal", "total", "chain_bound")
-
-    def __init__(self, values, peak_index, unimodal, total, chain_bound):
-        self.values = values  # h(k) = C(d,k)^2 * (d-k)! for k = 0..d-1
-        self.peak_index = peak_index  # floor(-1/2 + sqrt(5+4d)/2)
-        self.unimodal = unimodal  # nondecreasing then nonincreasing, max at peak_index
-        self.total = total
-        self.chain_bound = chain_bound  # d * h(peak_index), an upper bound for total
+# values are h(k) = C(d,k)^2 * (d-k)! for k = 0..d-1, peak_index is
+# floor(-1/2 + sqrt(5+4d)/2), unimodal means nondecreasing then
+# nonincreasing with the max at peak_index, and chain_bound = d *
+# h(peak_index) is an upper bound for total
+TermProfile = namedtuple("TermProfile", "values peak_index unimodal total chain_bound")
 
 
 def value_set_term_profile(d):

@@ -35,7 +35,7 @@ from .bounds import (
     average_error_bound,
     interp_count_error_bound,
 )
-from .config import _KEYS, ExperimentConfig, build_family, parse_config, validate_config
+from .config import ExperimentConfig, build_family, parse_config, validate_config
 from .diagnostics import run_all
 from .engine import ScanResult, generic_density, scan_family
 from .errors import BudgetExceeded, EmptyFamily, IdentityViolation
@@ -161,7 +161,8 @@ def _oracle_stages(spec, scan, r_max, budget):
     Each oracle checks its cost against the budget before it enumerates
     anything: the prefix DFS from the scan's hermite counts (star_1 = q*|A|
     start nodes, and q children at each node of depth below r_max), the
-    literal enumerations from the scan's member count.  The DFS adds no
+    literal enumerations from the scan's member count and then from the
+    q^(d-1) candidates of the filter they list.  The DFS adds no
     summary line, whether it runs or not; each literal enumeration adds one
     note.
     """
@@ -392,9 +393,8 @@ def main(argv=None) -> int:
             return rc
     try:
         config = parse_config(Path(args.config_path).read_text(encoding="utf-8"))
-        fields = {name for name, _, _ in _KEYS.values()}
         for name, value in vars(args).items():
-            if name in fields and value is not None:
+            if name in ExperimentConfig.__slots__ and value is not None:
                 setattr(config, name, value)
         validate_config(config)
     except ValueError as exc:

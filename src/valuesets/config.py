@@ -4,10 +4,11 @@ The grammar (documented in docs/config_grammar.txt) is deliberately tiny:
 `[section]` headers, `key = value` entries, `#` comments, blank lines.
 Sections and keys are fixed; anything unrecognized is a ParseError with its
 line number.  One table, `_KEYS`, holds each key's `ExperimentConfig`
-field, its parser and whether it is required; a key left out takes the
-field's default.  Semantic violations (q <= d, r_max > d, ...) raise
-ValidationError naming the broken precondition.  Constraint expressions are
-parsed eagerly so syntax errors surface at config time with positions.
+field, its parser and its default; a key left out takes its default, and
+one whose default is `_REQUIRED` must be set.  Semantic violations (q <= d,
+r_max > d, ...) raise ValidationError naming the broken precondition.
+Constraint expressions are parsed eagerly so syntax errors surface at
+config time with positions.
 """
 
 from __future__ import annotations
@@ -35,53 +36,6 @@ DEFAULT_EXTENSION_DEGREES = (1, 2)
 # Candidate-point ceiling for the diagnostics' extension scans; Q^(d-1)
 # above this skips k.
 POINT_BUDGET = 300_000
-
-
-class ExperimentConfig:
-    """The settings of one run; `_KEYS` maps each config key to its field."""
-
-    __slots__ = (
-        "p", "s", "modulus", "kind", "d", "m", "forms", "s_count", "shapes", "r_max",
-        "oracle_budget", "diag_extensions", "workers", "csv_path", "summary_path",
-    )
-
-    def __init__(self, p, s=1, modulus=None, kind="custom", d=0, m=0, forms=(),
-                 s_count=None, shapes=(), r_max=None, oracle_budget=DEFAULT_ORACLE_BUDGET,
-                 diag_extensions=DEFAULT_EXTENSION_DEGREES, workers=1, csv_path=None,
-                 summary_path=None):
-        self.p = p
-        self.s = s
-        self.modulus = modulus
-        self.kind = kind
-        self.d = d
-        self.m = m
-        self.forms = forms
-        self.s_count = s_count
-        self.shapes = shapes
-        self.r_max = r_max
-        self.oracle_budget = oracle_budget
-        self.diag_extensions = diag_extensions
-        self.workers = workers
-        self.csv_path = csv_path
-        self.summary_path = summary_path
-
-    @property
-    def q(self) -> int:
-        return self.p**self.s
-
-    @property
-    def effective_r_max(self) -> int:
-        return self.d if self.r_max is None else self.r_max
-
-    @property
-    def exprs(self) -> tuple:
-        """The constraint expressions: the shapes of a symmetric family,
-        the forms of any other."""
-        return self.shapes if self.kind == "symmetric" else self.forms
-
-    def family_id(self) -> str:
-        tag = "&".join(e.replace(" ", "") for e in self.exprs)
-        return f"{self.kind}-d{self.d}-m{self.m}-{tag}"
 
 
 # a decimal literal as `int(text, 0)` reads it; one it refuses is too long
@@ -120,27 +74,64 @@ def _kind(value, line, key):
     return value
 
 
-# key -> (ExperimentConfig field, parser, required), read in this order, so
+# the default of a key every config sets
+_REQUIRED = object()
+
+# key -> (ExperimentConfig field, parser, default), read in this order, so
 # a config with several faults reports the same one first on every run
 _KEYS = {
-    "field.p": ("p", _int, True),
-    "field.s": ("s", _int, False),
-    "field.modulus": ("modulus", _int_list, False),
-    "family.kind": ("kind", _kind, False),
-    "family.d": ("d", _int, True),
-    "family.m": ("m", _int, True),
-    "family.forms": ("forms", _expr_list, False),
-    "family.s_count": ("s_count", _int, False),
-    "family.S": ("shapes", _expr_list, False),
-    "run.r_max": ("r_max", _int, False),
-    "run.oracle_budget": ("oracle_budget", _int, False),
-    "run.diag_extensions": ("diag_extensions", _int_list, False),
-    "run.workers": ("workers", _int, False),
-    "output.csv": ("csv_path", _text, False),
-    "output.summary": ("summary_path", _text, False),
+    "field.p": ("p", _int, _REQUIRED),
+    "field.s": ("s", _int, 1),
+    "field.modulus": ("modulus", _int_list, None),
+    "family.kind": ("kind", _kind, "custom"),
+    "family.d": ("d", _int, _REQUIRED),
+    "family.m": ("m", _int, _REQUIRED),
+    "family.forms": ("forms", _expr_list, ()),
+    "family.s_count": ("s_count", _int, None),
+    "family.S": ("shapes", _expr_list, ()),
+    "run.r_max": ("r_max", _int, None),
+    "run.oracle_budget": ("oracle_budget", _int, DEFAULT_ORACLE_BUDGET),
+    "run.diag_extensions": ("diag_extensions", _int_list, DEFAULT_EXTENSION_DEGREES),
+    "run.workers": ("workers", _int, 1),
+    "output.csv": ("csv_path", _text, None),
+    "output.summary": ("summary_path", _text, None),
 }
 
 _SECTIONS = {key.partition(".")[0] for key in _KEYS}
+
+
+class ExperimentConfig:
+    """The settings of one run, by field name: a field left out takes its
+    `_KEYS` default, and one of a required key must be given."""
+
+    __slots__ = tuple(field for field, _, _ in _KEYS.values())
+
+    def __init__(self, **settings):
+        for field, _, default in _KEYS.values():
+            value = settings.pop(field, default)
+            if value is _REQUIRED:
+                raise TypeError(f"ExperimentConfig needs the setting {field!r}")
+            setattr(self, field, value)
+        if settings:
+            raise TypeError(f"ExperimentConfig has no setting {sorted(settings)[0]!r}")
+
+    @property
+    def q(self) -> int:
+        return self.p**self.s
+
+    @property
+    def effective_r_max(self) -> int:
+        return self.d if self.r_max is None else self.r_max
+
+    @property
+    def exprs(self) -> tuple:
+        """The constraint expressions: the shapes of a symmetric family,
+        the forms of any other."""
+        return self.shapes if self.kind == "symmetric" else self.forms
+
+    def family_id(self) -> str:
+        tag = "&".join(e.replace(" ", "") for e in self.exprs)
+        return f"{self.kind}-d{self.d}-m{self.m}-{tag}"
 
 
 def _key_of(name):
@@ -177,10 +168,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raw[full] = (value.strip(), lineno)
 
     fields = {}
-    for key, (name, parse, required) in _KEYS.items():
+    for key, (name, parse, default) in _KEYS.items():
         if key in raw:
             fields[name] = parse(*raw[key], key)
-        elif required:
+        elif default is _REQUIRED:
             raise ValidationError(f"missing required key {key}")
     config = ExperimentConfig(**fields)
     validate_config(config)

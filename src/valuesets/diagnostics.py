@@ -38,6 +38,7 @@ re-checked from the report alone.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
@@ -54,30 +55,13 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-class DiagnosticReport:
+class DiagnosticReport(
+    namedtuple("DiagnosticReport", "check status text evidence witness", defaults=(None,))
+):
     """One check's verdict: its status, the text, the evidence and the
     first witness, if any."""
 
-    __slots__ = ("check", "status", "text", "evidence", "witness")
-
-    def __init__(self, check, status, text, evidence=None, witness=None):
-        self.check = check
-        self.status = status
-        self.text = text
-        self.evidence = {} if evidence is None else evidence
-        self.witness = witness
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"DiagnosticReport({args})"
+    __slots__ = ()
 
     def render(self) -> str:
         """The verdict line, then one line per evidence key; an int or

@@ -52,6 +52,7 @@ all agree.  Such a tuple is a root tuple of f + a_0 at one shift, the pin
 a_0 = -f(x_1) of its first node, and any other tuple is one at no shift.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -62,14 +63,7 @@ from .errors import BudgetExceeded, IdentityViolation, ParameterRange
 from .families import enumerate_family, family_cardinality, filter_family
 
 
-class IncidenceCounts:
-    __slots__ = ("r", "distinct", "hermite", "coincident")
-
-    def __init__(self, r, distinct, hermite, coincident):
-        self.r = r
-        self.distinct = distinct
-        self.hermite = hermite
-        self.coincident = coincident
+IncidenceCounts = namedtuple("IncidenceCounts", "r distinct hermite coincident")
 
 
 def _chains(field, members, r_max):
@@ -218,13 +212,20 @@ def oracle_members(spec, cost_per_member, budget, label, member_count=None):
     The cost is cost_per_member * |A|, with |A| taken from member_count (the
     scan's count) when given, so a refusal enumerates nothing.  The members
     come from the candidate filter, independent of `enumerate_family`, so an
-    oracle that runs also cross-checks the direct enumerator.
+    oracle that runs also cross-checks the direct enumerator; a filter of
+    more than `budget` candidates, q^(d-1), is refused after the price, the
+    bit lengths deciding before the power is formed.
     """
     if member_count is None:
         member_count = family_cardinality(spec)
     cost = cost_per_member * member_count
     if cost > budget:
         raise BudgetExceeded(f"{label} cost {cost} exceeds budget {budget}")
+    q, width = spec.field.q, spec.d - 1
+    if (q.bit_length() - 1) * width >= budget.bit_length() or q**width > budget:
+        raise BudgetExceeded(
+            f"{label} lists {q}^{width} filter candidates, over budget {budget}"
+        )
     return _filter_listing(spec)
 
 

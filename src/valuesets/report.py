@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 from math import exp, log10
@@ -58,14 +59,10 @@ def error_over_sqrt_q(deviation: Fraction, q: int) -> str:
     return str(+_CTX.create_decimal(_HIGH.divide(dev, root)))
 
 
-class ExperimentReport:
+class ExperimentReport(namedtuple("ExperimentReport", "row summary_lines", defaults=((),))):
     """One experiment run: a fixed-order CSV row plus summary payload."""
 
-    __slots__ = ("row", "summary_lines")
-
-    def __init__(self, row, summary_lines=None):
-        self.row = row
-        self.summary_lines = [] if summary_lines is None else summary_lines
+    __slots__ = ()
 
     def to_csv(self) -> str:
         out = io.StringIO()

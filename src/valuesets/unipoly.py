@@ -16,6 +16,7 @@ with no leading-coefficient or sign normalization.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from . import linalg
@@ -249,15 +250,8 @@ def subdiscriminant_first(f: UniPoly) -> int:
     return principal_subresultant(f, d, 1)
 
 
-class DiscInfo:
-    """Discriminant report: values plus the vanished-derivative flag."""
-
-    __slots__ = ("disc", "subdisc", "derivative_zero")
-
-    def __init__(self, disc: int, subdisc: int, derivative_zero: bool):
-        self.disc = disc
-        self.subdisc = subdisc
-        self.derivative_zero = derivative_zero
+# discriminant report: values plus the vanished-derivative flag
+DiscInfo = namedtuple("DiscInfo", "disc subdisc derivative_zero")
 
 
 def disc_info(f: UniPoly) -> DiscInfo:

@@ -812,6 +812,30 @@ def test_run_lists_the_candidate_filter_once(monkeypatch, budget, listings):
     assert len(calls) == listings
 
 
+@pytest.mark.parametrize("d", [14, 12])
+def test_oracles_skip_a_filter_past_their_budget(tmp_path, d):
+    # 31^2 members among 31^(d-1) candidates: at d = 14 the listing ended in
+    # islice's ValueError traceback, at d = 12 it ran for minutes
+    forms = "; ".join(f"A{k}" for k in range(d - 1, 2, -1))
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(
+        f"[field]\np = 31\n[family]\nkind = linear\nd = {d}\nm = {d - 3}\n"
+        f"forms = {forms}\n[run]\nr_max = 2\n",
+        encoding="utf-8",
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "valuesets.cli", "run", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    listed = [line for line in proc.stdout.splitlines() if f"lists 31^{d - 1} " in line]
+    assert [line.split(":")[0] for line in listed] == [
+        "oracle S_1", "oracle tuples_1", "oracle prefix_1", "oracle S_2"
+    ]
+
+
 def test_main_builds_the_family_twice(tmp_path, monkeypatch, capsys):
     # once when the config is parsed, once when the run starts; checking the
     # flags builds nothing

@@ -4,7 +4,7 @@ from textwrap import dedent
 
 import pytest
 
-from valuesets.config import _KEYS, build_family, parse_config
+from valuesets.config import _KEYS, _REQUIRED, ExperimentConfig, build_family, parse_config
 from valuesets.errors import (
     ParseError,
     RankDeficient,
@@ -38,6 +38,22 @@ def test_minimal_config_gets_defaults():
     assert cfg.workers == 1
     assert cfg.csv_path is None and cfg.summary_path is None
     assert cfg.family_id() == "linear-d4-m1-A3"
+
+
+def test_config_fields_and_defaults_come_from_the_key_table():
+    required = {name: 1 for name, _, default in _KEYS.values() if default is _REQUIRED}
+    assert set(required) == {"p", "d", "m"}
+    cfg = ExperimentConfig(**required)
+    assert ExperimentConfig.__slots__ == tuple(name for name, _, _ in _KEYS.values())
+    for name, _, default in _KEYS.values():
+        assert getattr(cfg, name) == (1 if default is _REQUIRED else default)
+    with pytest.raises(TypeError, match="'modulo'"):
+        ExperimentConfig(**required, modulo=(1, 1))
+    for name in required:
+        with pytest.raises(TypeError, match=repr(name)):
+            ExperimentConfig(**{k: v for k, v in required.items() if k != name})
+    with pytest.raises(TypeError):
+        ExperimentConfig(7, 1, 4, 1)  # settings are given by name
 
 
 def test_full_config_roundtrip():

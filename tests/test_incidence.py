@@ -249,3 +249,24 @@ def test_oracles_check_budget_before_enumerating(monkeypatch):
     assert count_hermite_tuples_oracle(spec, 1, 343, members) == members * 7
     assert calls == ["filter_family"]
 
+
+
+def test_oracle_refuses_a_filter_larger_than_its_budget(monkeypatch):
+    # |A| = 7 members among 7^3 = 343 candidates: the direct S_1 price, 49,
+    # passes a budget of 100, and the candidate filter, priced apart, does not
+    field = F7
+    spec = linear_family(field, 4, 2, [constraint(t, field, 4) for t in ("A3", "A2")])
+    calls = []
+    original = incidence.filter_family
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(incidence, "filter_family", counted)
+    with pytest.raises(BudgetExceeded) as info:
+        count_interpolating_sets_direct(spec, 1, 100, 7)
+    assert str(info.value) == "direct S_r lists 7^3 filter candidates, over budget 100"
+    assert calls == []
+    assert count_interpolating_sets_direct(spec, 1, 343, 7) == 49
+    assert calls == [spec]

@@ -1,7 +1,16 @@
 import math
 from fractions import Fraction
+from textwrap import dedent
 
-from valuesets.bounds import LogMagnitude
+import pytest
+
+from valuesets.bounds import LogMagnitude, family_size_bracket, value_set_term_profile
+from valuesets.cli import run_experiment
+from valuesets.config import build_family, parse_config
+from valuesets.diagnostics import check_regularity
+from valuesets.engine import scan_family
+from valuesets.ffield import field_new
+from valuesets.incidence import collect
 from valuesets.report import (
     ExperimentReport,
     error_over_sqrt_q,
@@ -9,6 +18,7 @@ from valuesets.report import (
     format_magnitude,
     format_rational,
 )
+from valuesets.unipoly import UniPoly, disc_info
 
 
 def test_rational_rendering_is_12_significant_digits():
@@ -79,3 +89,47 @@ def test_report_columns_and_csv_shape():
 def test_summary_join():
     rep = ExperimentReport({"q": "7"}, ["line one", "line two"])
     assert rep.to_summary() == "line one\nline two\n"
+
+
+SMALL_Q7 = dedent(
+    """\
+    [field]
+    p = 7
+
+    [family]
+    kind = linear
+    d = 3
+    m = 1
+    forms = A2
+
+    [run]
+    oracle_budget = 0
+    """
+)
+
+
+def _incidence_counts():
+    spec = build_family(parse_config(SMALL_Q7))
+    return collect(spec, 2, scan_family(spec))[1]
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: family_size_bracket(4, 1, (2,), 11), "upper"),
+        (lambda: value_set_term_profile(6), "total"),
+        (_incidence_counts, "hermite"),
+        (lambda: disc_info(UniPoly(field_new(7), [1, 3, 0, 1])), "disc"),
+        (lambda: check_regularity(build_family(parse_config(SMALL_Q7))), "status"),
+        (lambda: run_experiment(parse_config(SMALL_Q7)), "row"),
+    ],
+    ids=["FamilySizeBracket", "TermProfile", "IncidenceCounts", "DiscInfo",
+         "DiagnosticReport", "ExperimentReport"],
+)
+def test_value_records_compare_by_value_and_refuse_assignment(build, field):
+    # two separate computations of one result give equal records
+    first, second = build(), build()
+    assert first is not second and first == second
+    with pytest.raises(AttributeError):
+        setattr(first, field, None)
+    assert first == second
