@@ -10,23 +10,33 @@ is a linear functional of it:
     S_r (fast path) = sum over (f, a_0) of C(n, r)
     ordered distinct-root tuples = sum of n*(n-1)*...*(n-r+1)
 
-The same sweep carries f'(c) along.  Where f'(c) = 0, c is a multiple root
-of f - f(c), and repeated synthetic division by (T - c) finds its
-multiplicity; the sorted multiplicities of the roots of each such pair
-(f, a_0) are counted in `ScanResult.patterns`.  The hermite and coincident
-tuple counts (see `incidence`) depend only on these multiplicities, so they
-are functionals of the histogram and the patterns too.
+The same sweep carries f'(c) along.  Where f'(c) = 0, c is a critical
+point, a multiple root of f - v with v = f(c), and synthetic division by
+(T - c) finds its multiplicity e in f - v and its multiplicity e' in f';
+the sorted multiplicities of the roots of each such pair (f, a_0) are
+counted in `ScanResult.patterns`.  The hermite and coincident tuple counts
+(see `incidence`) depend only on these multiplicities, so they are
+functionals of the histogram and the patterns too.
 
-The scan also counts the repeated-root loci (deg gcd(f + a_0, f') >= 1, 2)
-that `diagnostics.check_discriminant_loci` reads, so it is the one
-per-member pass over the family.  With e = deg f' >= 1 and r = f mod f',
-deg gcd(f + a_0, f') is the dimension of the kernel of multiplication by
-r + a_0 on F_q[T]/(f'), the geometric multiplicity of -a_0 as an eigenvalue
-of the e x e matrix M_r of multiplication by r.  So one characteristic
-polynomial chi of M_r per member, evaluated at every -a_0, sieves the first
-locus (chi(-a_0) is Res(f + a_0, f') up to a unit), and a gcd is needed
-only at a multiple root of chi, for the second.  When f' = 0 every shift
-lies in both loci; when f' is a nonzero constant none does.
+The scan also counts the repeated-root loci N1 and N2, the shifts with
+deg gcd(f + a_0, f') >= 1 resp. >= 2, that
+`diagnostics.check_discriminant_loci` reads, so it is the one per-member
+pass over the family; they are read off the critical points the sweep
+finds.  Dividing each (T - c)^e' out of f' leaves u, the part of f' with no
+F_q-root, and over F_q
+
+    gcd(f - v, f') = prod over c with f(c) = v of (T - c)^min(e, e')
+                     * gcd(f - v, u).
+
+Since e >= 2 and e' >= e - 1, min(e, e') >= 2 exactly when e' >= 2: the
+shift -v lies in N1 when a critical point maps to v, and in N2 when those
+points count at least twice as roots of f'.  A root of u that f sends into
+F_q comes with a conjugate, so gcd(f - v, u) is 1 or of degree >= 2, and
+-v lies in both loci when it is not 1, that is when chi_u(v) = 0, chi_u the
+characteristic polynomial of multiplication by f on F_q[T]/(u)
+(chi_u(v) is Res(u, f - v) up to a unit).  No gcd runs, and this holds in
+every characteristic.  When f' = 0 every shift lies in both loci; when f'
+is a nonzero constant none does.
 
 The map f -> c^(-d) f(c(T + b)) + e, c != 0, permutes the points by
 T -> c(T + b) and the values by v -> c^(-d) v + e and keeps every
@@ -49,7 +59,7 @@ each locus is its lex-least pair (a_{d-1}, ..., a_1, a_0), so scans add up
 in any order.  The members of an orbit have the same loci, so an orbit's
 lex-least pair is its scanned member's.
 
-Each walked member's kernels then run once per affine class.  A scaling
+Each walked member's kernel then runs once per affine class.  A scaling
 orbit has one normal form, its lex-least point by field index
 (`_Scaling`): the orbit walk tests a member against it, and `_affine_key`
 reads it off the member depressed by T -> T + b (when p does not divide
@@ -99,10 +109,11 @@ def value_set_size(f):
     return count
 
 
-def _root_multiplicity(add, mc, coeffs):
-    """Multiplicity of c as a root of the polynomial with coefficients
-    `coeffs` (highest degree first), by repeated synthetic division by
-    (T - c); mc is the mul row of c."""
+def _divide_out(add, mc, coeffs):
+    """(e, quotient): the multiplicity e of c as a root of the polynomial
+    with coefficients `coeffs`, highest degree first, and its quotient by
+    (T - c)^e, by repeated synthetic division; mc is the mul row of c.
+    The zero polynomial [] gives (0, [])."""
     e = 0
     while len(coeffs) > 1:
         quo = [coeffs[0]]
@@ -112,115 +123,13 @@ def _root_multiplicity(add, mc, coeffs):
             break
         coeffs = quo
         e += 1
-    return e
-
-
-def _member_histogram(field, a_desc, profile, patterns):
-    """Accumulate one member's root-count histogram into profile.
-
-    a_desc is (a_{d-1}, ..., a_1).  hist[v] counts c with f(c) = v, which
-    is the root count of f + a_0 at a_0 = -v; adds the histogram's
-    n-distribution into profile[n] and returns V(f) = #nonzero entries.
-    Each pair (f, a_0) with a multiple root adds 1 to patterns[key], key
-    the sorted multiplicities of all F_q-roots of f + a_0.
-    """
-    add, mul, neg, _ = field.rows()
-    hist = [0] * field.q
-    multiple = {}  # v -> multiplicities >= 2 among the roots of f - v
-    for c, mc in enumerate(mul):
-        # Horner over (1, a_{d-1}, ..., a_1, 0) at the row's point c, with
-        # the derivative's Horner sum carried alongside
-        acc = 1
-        der = 0
-        for coef in a_desc:
-            der = add[mc[der]][acc]
-            acc = add[mc[acc]][coef]
-        der = add[mc[der]][acc]
-        v = mc[acc]  # constant coefficient of the member is 0
-        hist[v] += 1
-        if der == 0:
-            coeffs = [1, *a_desc, neg[v]]
-            multiple.setdefault(v, []).append(_root_multiplicity(add, mc, coeffs))
-    vf = 0
-    for n in hist:
-        profile[n] += 1
-        if n:
-            vf += 1
-    for v, mults in multiple.items():
-        patterns[tuple(sorted(mults + [1] * (hist[v] - len(mults))))] += 1
-    return vf
-
-
-def _repeated_root_profile(field, a_desc, loci, witnesses):
-    """Accumulate one member's repeated-root pairs.
-
-    a_desc is (a_{d-1}, ..., a_1).  Adds to loci[0] resp. loci[1] the
-    shifts a_0 with deg gcd(f + a_0, f') >= 1 resp. >= 2, and q to loci[2]
-    when f' vanishes identically; an empty witnesses[i] takes
-    (*a_desc, a_0) for the smallest a_0 counted in loci[i].
-
-    With e = deg f' >= 1 and r = f mod f', deg gcd(f + a_0, f') is the
-    dimension of the kernel of M_r + a_0, M_r the matrix of multiplication
-    by r on F_q[T]/(f'), so a_0 counts in loci[0] exactly when
-    chi(-a_0) = 0, chi = det(xI - M_r).  chi is evaluated at every shift in
-    ascending order.  At a simple root the eigenspace is a line, so the
-    degree is 1; only at a multiple root does `_gcd_degree` decide loci[1].
-    Two cases need no chi: when f' = 0 every shift has gcd f + a_0, of
-    degree d >= 2, and when deg f' = 0 no shift counts.
-    """
-    rows = field.rows()
-    add, mul, neg, inv = rows
-    f = [0] + list(reversed(a_desc)) + [1]
-    d = len(f) - 1
-    deriv = [mul[field.scalar(j)][f[j]] for j in range(1, d + 1)]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
-    if not deriv:
-        for i in range(3):
-            loci[i] += field.q
-        for i in range(2):
-            if witnesses[i] is None:
-                witnesses[i] = (*a_desc, 0)
-        return
-    e = len(deriv) - 1
-    if e == 0:
-        return
-    # the columns r * T^i mod f' of M_r, as the rows of its transpose, which
-    # has the same characteristic polynomial; T^e = sum of reduce[j] T^j
-    minus_lead = mul[neg[inv[deriv[-1]]]]
-    reduce = [minus_lead[c] for c in deriv[:-1]]
-    col = _poly_rem(rows, f, deriv)
-    col += [0] * (e - len(col))
-    cols = [col]
-    for _ in range(e - 1):
-        top = mul[col[-1]]
-        col = [add[c][top[t]] for c, t in zip([0] + col, reduce)]
-        cols.append(col)
-    chi = _charpoly(rows, cols)[::-1]  # descending
-    for a0 in range(field.q):
-        mx = mul[neg[a0]]
-        acc = 0
-        for coef in chi:
-            acc = add[mx[acc]][coef]
-        if acc:
-            continue
-        # chi'(-a_0) != 0 marks a simple root, whose eigenspace is a line
-        der = acc = 0
-        for coef in chi:
-            der = add[mx[der]][acc]
-            acc = add[mx[acc]][coef]
-        f[0] = a0
-        g = 1 if der else _gcd_degree(rows, f, deriv)
-        for i in range(min(g, 2)):
-            loci[i] += 1
-            if witnesses[i] is None:
-                witnesses[i] = (*a_desc, a0)
+    return e, coeffs
 
 
 def _poly_rem(rows, a, b):
-    """Remainder of a by b, ascending coefficient-index lists, through the
-    field's lookup rows; b has a nonzero last entry.  Trailing zeros are
-    stripped, so the zero remainder is []."""
+    """Remainder of a by b as len(b) - 1 coefficients, for ascending
+    coefficient-index lists a, at least as long as b, and b with a nonzero
+    last entry, through the field's lookup rows."""
     add, mul, neg, inv = rows
     a = a[:]
     db = len(b) - 1
@@ -232,22 +141,7 @@ def _poly_rem(rows, a, b):
             off = i - db
             for j in range(db):
                 a[off + j] = add[a[off + j]][minus_c[b[j]]]
-            a[i] = 0
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gcd_degree(rows, a, b):
-    """Degree of gcd of two ascending coefficient-index lists, through the
-    field's lookup rows; b is nonzero with a nonzero last entry.
-
-    `unipoly.poly_gcd` is the reference implementation that tests compare
-    against.
-    """
-    while b:
-        a, b = b, _poly_rem(rows, a, b)
-    return len(a) - 1
+    return a[:db]
 
 
 def _charpoly(rows, m):
@@ -588,10 +482,69 @@ CLASS_CACHE_MAX = 1 << 16
 
 
 def _scan_member(field, d, member):
-    """The one-member `ScanResult` of a member, by both kernels."""
-    result = ScanResult(d, 1, 0, [0] * (d + 1))
-    result.sum_values = _member_histogram(field, member, result.profile, result.patterns)
-    _repeated_root_profile(field, member, result.loci, result.witnesses)
+    """The one-member `ScanResult` of a member (a_{d-1}, ..., a_1), by one
+    Horner sweep: the histogram, the multiplicity patterns of its critical
+    points, and the loci read off those and chi_u, as the module docstring
+    derives."""
+    rows = field.rows()
+    add, mul, neg, _ = rows
+    q = field.q
+    # f' highest degree first, without leading zeros; each critical point's
+    # (T - c)^e' is divided out of u
+    u = [mul[field.scalar(k)][a] for k, a in zip(range(d, 0, -1), (1, *member))]
+    while u and not u[0]:
+        del u[0]
+    hist = [0] * q
+    critical = {}  # v -> (e, e') of each critical point c with f(c) = v
+    for c, mc in enumerate(mul):
+        # Horner over (1, a_{d-1}, ..., a_1, 0) at the row's point c, with
+        # the derivative's Horner sum carried alongside
+        acc = 1
+        der = 0
+        for coef in member:
+            der = add[mc[der]][acc]
+            acc = add[mc[acc]][coef]
+        der = add[mc[der]][acc]
+        v = mc[acc]  # constant coefficient of the member is 0
+        hist[v] += 1
+        if der == 0:
+            e, _ = _divide_out(add, mc, [1, *member, neg[v]])
+            e1, u = _divide_out(add, mc, u)
+            critical.setdefault(v, []).append((e, e1))
+    profile = [0] * (d + 1)
+    for n in hist:
+        profile[n] += 1
+    patterns = Counter(
+        tuple(sorted([e for e, _ in points] + [1] * (hist[v] - len(points))))
+        for v, points in critical.items()
+    )
+    result = ScanResult(d, 1, q - profile[0], profile, patterns)
+    if not u:  # f' = 0
+        result.loci = [q, q, q]
+        result.witnesses = [(*member, 0)] * 2
+        return result
+    level = {}  # shift a_0 -> the number of loci it lies in
+    for v, points in critical.items():
+        level[neg[v]] = 1 if sum(e1 for _, e1 in points) < 2 else 2
+    if len(u) > 1:
+        # the columns f T^i mod u of multiplication by f, as the rows of its
+        # transpose, which has the same characteristic polynomial
+        u.reverse()  # ascending
+        cols = [_poly_rem(rows, [0, *reversed(member), 1], u)]
+        while len(cols) < len(u) - 1:
+            cols.append(_poly_rem(rows, [0, *cols[-1]], u))
+        chi = _charpoly(rows, cols)[::-1]  # descending
+        for v, mv in enumerate(mul):
+            acc = 0
+            for coef in chi:
+                acc = add[mv[acc]][coef]
+            if not acc:
+                level[neg[v]] = 2
+    for i in range(2):
+        shifts = [a0 for a0, depth in level.items() if depth > i]
+        if shifts:
+            result.loci[i] = len(shifts)
+            result.witnesses[i] = (*member, min(shifts))
     return result
 
 
@@ -601,7 +554,7 @@ def scan_family(spec, partition=None):
 
     Where a symmetry applies (`orbit_weigher`), only the lex-least member
     of each orbit is walked, counted |orbit| times; otherwise every member
-    is.  The kernels run once per affine class, keyed by `_affine_key`
+    is.  The kernel runs once per affine class, keyed by `_affine_key`
     (the `_Scaling` normal form of the depressed member), on its first
     walked member, and its one-member scan is added for every member of
     the class.  The result equals `scan_members`, the reference.

@@ -1,6 +1,6 @@
 """The scan's affine classes: `engine._affine_key` and the memoized scan.
 
-`scan_family` runs the per-member kernels once per affine class, the
+`scan_family` runs the per-member kernel once per affine class, the
 members f and c^(-d) f(c(T + b)) + e (constant term dropped), and counts
 its first walked member's one-member scan for every member of it.
 Checked here:

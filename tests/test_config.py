@@ -223,6 +223,7 @@ def test_shipped_sample_configs_parse():
     root = Path(__file__).resolve().parent.parent / "configs"
     names = sorted(p.name for p in root.glob("*.cfg"))
     assert names == [
+        "graph_q9_d5.cfg",
         "linear_q11_d4.cfg",
         "quadratic_q7_d4.cfg",
         "symmetric_q7_d6.cfg",

@@ -21,18 +21,22 @@ methods and `UniPoly`:
 - the literal S_r and distinct-tuple oracles against per-tuple Horner
   loops and against the scan's S_r and distinct counts, for r <= 3
   wherever the oracle's price fits the budget;
-- the per-member repeated-root counts, and the scan's loci counts and
-  first witnesses, against `poly_gcd(f + a_0, f')`.
+- the one-member kernel's loci counts and witnesses, and the scan's,
+  against `poly_gcd(f + a_0, f')`.
 
 Some draws take d divisible by p and may add the constraints a_k = 0 for
 every k prime to p, so that f' vanishes identically on the whole family.
 
-The charpoly sieve behind the repeated-root counts is also checked on raw
-coefficient tuples over F_2 ... F_16 with d <= 8, weighted towards its edge
-cases: p | d, f' = 0, deg f' = 0 and q <= deg f'.  There the counts must
-equal the per-shift `poly_gcd` loop, the charpoly helper must equal
+The one-member kernel's loci are also checked on raw coefficient tuples
+over F_2 ... F_16 with d <= 8, weighted towards the edge cases: p | d,
+f' = 0, deg f' = 0 and q <= deg f'.  There the counts must equal the
+per-shift `poly_gcd` loop, the charpoly helper must equal
 `linalg.det(xI - M)` at every x, and chi(-a_0) must vanish exactly where
-`resultant(f + a_0, f')` does.
+`resultant(f + a_0, f')` does.  Members with a planted critical point,
+f + a_0 = (T - c)^k g with k in 2..d, and sometimes a second one over the
+same value, check the loci against `poly_gcd` and the hermite and
+coincident counts against `incidence._chains`; the synthetic-division
+helper is checked against `UniPoly.divmod`.
 """
 
 from collections import Counter
@@ -46,13 +50,15 @@ from hypothesis import strategies as st
 from valuesets import cli
 from valuesets.engine import (
     _charpoly,
-    _repeated_root_profile,
+    _divide_out,
+    _scan_member,
     scan_family,
     value_set_size,
 )
 from valuesets.families import FamilySpec, filter_family, partition_ranges
 from valuesets.ffield import field_new
 from valuesets.incidence import (
+    _chains,
     check_pattern_counts,
     count_distinct_tuples_oracle,
     count_hermite_tuples_oracle,
@@ -260,7 +266,7 @@ def test_literal_oracles_match_reference_loops(spec):
 
 def _gcd_loci(field, member):
     """One member's [n1, n2, zero] loci counts and first witnesses by
-    `poly_gcd`, in the shape `_repeated_root_profile` accumulates."""
+    `poly_gcd`, in the shape of `_scan_member`'s loci and witnesses."""
     deriv = _member_poly(field, member).derivative()
     loci = [0, 0, field.q if deriv.is_zero() else 0]
     witnesses = [None, None]
@@ -279,9 +285,8 @@ def _gcd_loci(field, member):
 def test_repeated_root_counts_match_gcd(spec):
     field = spec.field
     for member in filter_family(spec):
-        loci, witnesses = [0, 0, 0], [None, None]
-        _repeated_root_profile(field, member, loci, witnesses)
-        assert (loci, witnesses) == _gcd_loci(field, member)
+        scan = _scan_member(field, spec.d, member)
+        assert (scan.loci, scan.witnesses) == _gcd_loci(field, member)
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,7 +312,7 @@ SIEVE_CASES = ["any", "p_divides_d", "zero_derivative", "constant_derivative", "
 @st.composite
 def member_tuples(draw):
     """(field, a_desc) for a monic f of degree d <= 8, most draws aimed at
-    one of the sieve's edge cases."""
+    one of the loci's edge cases."""
     case = draw(st.sampled_from(SIEVE_CASES))
     if case == "any":
         p, s = draw(st.sampled_from(SIEVE_FIELDS))
@@ -334,9 +339,70 @@ def member_tuples(draw):
 @given(member_tuples())
 def test_sieve_matches_gcd_on_coefficient_tuples(drawn):
     field, a = drawn
-    loci, witnesses = [0, 0, 0], [None, None]
-    _repeated_root_profile(field, a, loci, witnesses)
-    assert (loci, witnesses) == _gcd_loci(field, a)
+    scan = _scan_member(field, len(a) + 1, a)
+    assert (scan.loci, scan.witnesses) == _gcd_loci(field, a)
+
+
+# small fields, so that p divides some k in 2..7 over each
+PLANTED_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]
+PLANTED_MAX_DEGREE = 7
+
+
+@st.composite
+def planted_members(draw):
+    """(field, a_desc) with f + a_0 = (T - c)^k g for some a_0, k in 2..d,
+    and in about half the draws with room a second factor (T - c')^k',
+    k' >= 2, over the same value."""
+    field = field_new(*draw(st.sampled_from(PLANTED_FIELDS)))
+    q = field.q
+    d = draw(st.integers(2, PLANTED_MAX_DEGREE))
+    element = st.integers(0, q - 1)
+    k = draw(st.integers(2, d))
+    f = from_roots(field, [draw(element)] * k)
+    rest = d - k
+    if rest >= 2 and draw(st.booleans()):
+        k2 = draw(st.integers(2, rest))
+        f = f * from_roots(field, [draw(element)] * k2)
+        rest -= k2
+    f = f * UniPoly(field, draw(st.lists(element, min_size=rest, max_size=rest)) + [1])
+    return field, tuple(f.coefficient(j) for j in range(d - 1, 0, -1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_members())
+def test_planted_critical_points_match_gcd_and_chains(drawn):
+    # the loci against poly_gcd per shift, and the patterns behind the
+    # hermite and coincident counts against the exact-quotient DFS
+    field, a = drawn
+    d = len(a) + 1
+    scan = _scan_member(field, d, a)
+    assert (scan.loci, scan.witnesses) == _gcd_loci(field, a)
+    star, coinc = _chains(field, [a], d)
+    for r in range(1, d + 1):
+        assert scan.hermite_count(r) == star[r - 1], (a, r)
+        assert scan.coincident_count(r) == coinc[r - 1], (a, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_members(), st.integers(0, 63))
+def test_divide_out_matches_divmod(drawn, pick):
+    # multiplicity and quotient against repeated UniPoly.divmod by (T - c),
+    # at a planted root or at any point
+    field, a = drawn
+    f = _member_poly(field, a)
+    c = pick % field.q
+    linear = from_roots(field, [c])
+    e, quotient = 0, f
+    while True:
+        quo, rem = quotient.divmod(linear)
+        if not rem.is_zero():
+            break
+        e, quotient = e + 1, quo
+    add, mul = field.rows()[:2]
+    got_e, got = _divide_out(add, mul[c], [f.coefficient(j) for j in range(f.degree, -1, -1)])
+    assert got_e == e
+    assert got == [quotient.coefficient(j) for j in range(quotient.degree, -1, -1)]
+    assert _divide_out(add, mul[c], []) == (0, [])
 
 
 @st.composite
